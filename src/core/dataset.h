@@ -15,7 +15,12 @@
 #include "classify/observations.h"
 #include "net/ipv4.h"
 #include "privacy/anonymizer.h"
+#include "util/hash.h"
 #include "util/time.h"
+
+namespace lockdown::util {
+class ThreadPool;
+}  // namespace lockdown::util
 
 namespace lockdown::core {
 
@@ -95,12 +100,19 @@ class Dataset {
   DomainId InternDomain(std::string_view domain);
   DeviceIndex AddDevice(privacy::DeviceId id);
   void AddFlow(const Flow& flow) { flows_.push_back(flow); }
+  /// Replaces the unfinalized flow array wholesale (a builder that sized and
+  /// filled it in parallel).
+  void AdoptFlows(std::vector<Flow> flows);
   [[nodiscard]] DeviceEntry& device_mutable(DeviceIndex i) {
     return devices_[i];
   }
   /// Sorts flows by (device, start) and builds the per-device index. Call
-  /// once after the last AddFlow.
+  /// once after the last AddFlow. Ties keep insertion order, so the result
+  /// equals a stable sort by (device, start). The pool overload scatters
+  /// flows by device and sorts each device under the pool; the order is the
+  /// same at any thread count.
   void Finalize();
+  void Finalize(const util::ThreadPool& pool);
 
   // --- Snapshot restore (used by store::LoadSnapshot) ----------------------
   /// Adopts an externally owned, already-finalized flow array (e.g. an
@@ -167,7 +179,8 @@ class Dataset {
   std::shared_ptr<const void> flow_keepalive_;    ///< owns borrowed memory
   std::vector<DeviceEntry> devices_;
   std::vector<std::string> domains_;  // [0] = ""
-  std::unordered_map<std::string, DomainId> domain_index_;
+  std::unordered_map<std::string, DomainId, util::StringHash, std::equal_to<>>
+      domain_index_;
   std::vector<std::uint64_t> device_offsets_;  // CSR after Finalize
   DayRunIndex day_runs_;  // built by Finalize/RebuildDayRuns or restored
   bool finalized_ = false;

@@ -102,11 +102,13 @@ void ExportLogs(const StudyConfig& config, const std::filesystem::path& dir,
                               [&flows](const flow::FlowRecord& rec) {
                                 flows.push_back(rec);
                               });
-    generator.Run([&](const flow::TapEvent& ev) {
-      const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
-      if (svc && catalog.Get(*svc).tap_excluded) return;
-      assembler.Ingest(ev);
-    });
+    generator.Run(
+        [&](const flow::TapEvent& ev) {
+          const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
+          if (svc && catalog.Get(*svc).tap_excluded) return;
+          assembler.Ingest(ev);
+        },
+        config.threads);
     assembler.Finish();
   }
 

@@ -1,9 +1,13 @@
 #include "core/pipeline.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -32,6 +36,59 @@ enum Disposition : std::uint8_t {
   kKeep = 2,        // retained, server IP never resolved in the DNS log
   kKeepDomain = 3,  // retained, with an attributed domain
 };
+
+// Devices per chunk of the per-device observation fold.
+constexpr std::size_t kDeviceGrain = 16;
+
+// What one chunk of pass 3 saw first: the flows where each device and each
+// mapped domain makes its first appearance in the chunk, in flow order.
+// Merging these lists in chunk order replays the serial first-appearance
+// order over the whole flow sequence.
+struct Pass3Shard {
+  std::vector<std::size_t> first_device_flows;
+  std::vector<std::string_view> first_domains;
+  std::uint64_t kept = 0;
+  std::uint64_t visitors = 0;
+  // Kept flows whose DNS name is the empty string: they carry kNoDomain like
+  // unresolved flows, but their bytes still count under bytes_by_domain[""].
+  std::vector<std::pair<DeviceIndex, std::uint64_t>> empty_domain_bytes;
+};
+
+Flow MakeFlow(const flow::FlowRecord& rec, DeviceIndex device, DomainId domain) {
+  Flow f;
+  f.start_offset_s =
+      static_cast<std::uint32_t>(rec.start - util::StudyCalendar::StartTs());
+  f.duration_s = static_cast<float>(rec.duration_s);
+  f.device = device;
+  f.domain = domain;
+  f.server_ip = rec.server_ip;
+  f.server_port = rec.server_port;
+  f.proto = static_cast<std::uint8_t>(rec.proto);
+  f.bytes_up = rec.bytes_up;
+  f.bytes_down = rec.bytes_down;
+  return f;
+}
+
+// A device's traffic totals and per-domain bytes from its finalized flows.
+// Sorting the (domain, bytes) pairs turns each domain into one run, so each
+// (device, domain) pair costs one string, not one per flow.
+void FoldObservations(std::span<const Flow> flows, std::span<const std::string> names,
+                      classify::DeviceObservations& obs,
+                      std::vector<std::pair<DomainId, std::uint64_t>>& scratch) {
+  scratch.clear();
+  for (const Flow& f : flows) {
+    obs.total_bytes += f.total_bytes();
+    if (f.domain != kNoDomain) scratch.emplace_back(f.domain, f.total_bytes());
+  }
+  obs.flow_count += flows.size();
+  std::sort(scratch.begin(), scratch.end());
+  for (std::size_t i = 0; i < scratch.size();) {
+    const DomainId domain = scratch[i].first;
+    std::uint64_t bytes = 0;
+    for (; i < scratch.size() && scratch[i].first == domain; ++i) bytes += scratch[i].second;
+    obs.bytes_by_domain.emplace(names[domain], bytes);
+  }
+}
 
 // Counters summarizing a finished Process call; values mirror the
 // CollectionStats the caller already gets, so --metrics-out sees them too.
@@ -69,12 +126,19 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   const std::size_t n = inputs.flows.size();
   stats.raw_flows = n;
 
-  // --- Attribution indexes ---------------------------------------------------
-  const dhcp::IpToMacNormalizer normalizer(inputs.dhcp_log);
-  const dns::IpToDomainMapper mapper(inputs.dns_log);
-
   const util::ThreadPool pool(util::ResolveThreadCount(threads));
   const std::size_t num_chunks = util::ThreadPool::NumChunks(n, kFlowGrain);
+
+  // --- Attribution indexes ---------------------------------------------------
+  std::optional<dhcp::IpToMacNormalizer> normalizer_slot;
+  std::optional<dns::IpToDomainMapper> mapper_slot;
+  {
+    OBS_SPAN("pipeline/indexes");
+    normalizer_slot.emplace(inputs.dhcp_log);
+    mapper_slot.emplace(inputs.dns_log);
+  }
+  const dhcp::IpToMacNormalizer& normalizer = *normalizer_slot;
+  const dns::IpToDomainMapper& mapper = *mapper_slot;
 
   // --- Pass 1 (sharded): device attribution + visitor observation -------------
   // Each chunk runs its DHCP lookups and accumulates into thread-local shards
@@ -82,14 +146,16 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
   // disjoint slots of the shared arrays. Shards merge in chunk order below —
   // day sets union order-independently, so the merged filter reproduces the
   // serial scan exactly.
-  std::vector<std::uint64_t> record_macs(n, 0);
-  std::vector<privacy::DeviceId> device_ids(n);
-  std::vector<privacy::VisitorFilter> shard_visitors(
-      num_chunks, privacy::VisitorFilter(visitor_min_days));
-  std::vector<std::uint64_t> shard_unattributed(num_chunks, 0);
+  std::vector<std::uint64_t> record_macs;
+  std::vector<privacy::DeviceId> device_ids;
   privacy::VisitorFilter visitors(visitor_min_days);
   {
     OBS_SPAN("pipeline/pass1_attribution");
+    record_macs.assign(n, 0);
+    device_ids.resize(n);
+    std::vector<privacy::VisitorFilter> shard_visitors(
+        num_chunks, privacy::VisitorFilter(visitor_min_days));
+    std::vector<std::uint64_t> shard_unattributed(num_chunks, 0);
     pool.ParallelFor(n, kFlowGrain,
                      [&](std::size_t chunk, std::size_t begin, std::size_t end) {
                        privacy::VisitorFilter& shard = shard_visitors[chunk];
@@ -109,19 +175,19 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
       stats.unattributed += shard_unattributed[c];
       visitors.Merge(shard_visitors[c]);
     }
-    shard_visitors.clear();
   }
   stats.devices_observed = visitors.num_observed();
   stats.devices_retained = visitors.num_retained();
 
   // --- Pass 2 (sharded): retention check + DNS mapping -------------------------
   // Reads the now-frozen visitor filter; writes disjoint per-flow slots. The
-  // domain views point into inputs.dns_log, which outlives this function's
-  // use of them.
-  std::vector<std::uint8_t> disposition(n, kDrop);
-  std::vector<std::string_view> domains(n);
+  // domain views point into the mapper, which outlives every use of them.
+  std::vector<std::uint8_t> disposition;
+  std::vector<std::string_view> domains;
   {
     OBS_SPAN("pipeline/pass2_retention_dns");
+    disposition.assign(n, kDrop);
+    domains.resize(n);
     pool.ParallelFor(n, kFlowGrain,
                      [&](std::size_t, std::size_t begin, std::size_t end) {
                        for (std::size_t i = begin; i < end; ++i) {
@@ -142,50 +208,108 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
                      });
   }
 
-  // --- Pass 3 (serial merge): assemble the dataset in flow order ---------------
+  // --- Pass 3 (sharded): assemble the dataset in flow order -----------------
   // Device indices and interned-domain ids are assigned in first-appearance
-  // order over the original flow sequence — the merge order is the chunk
-  // order, which is the input order, so the dataset is byte-identical to a
-  // serial build.
+  // order over the original flow sequence: each chunk lists its first
+  // sightings, and the serial merge walks those lists in chunk order, so the
+  // dataset is byte-identical to a serial build. Kept flows then land at
+  // prefix-summed offsets of a presized array, in flow order.
   Dataset& ds = result.dataset;
   std::unordered_map<privacy::DeviceId, DeviceIndex, privacy::DeviceIdHash> index;
-  const util::Timestamp study_start = util::StudyCalendar::StartTs();
+  std::vector<Pass3Shard> shards(num_chunks);
   {
     OBS_SPAN("pipeline/pass3_assemble");
-    for (std::size_t i = 0; i < n; ++i) {
-      if (disposition[i] == kDrop) continue;
-      if (disposition[i] == kVisitor) {
-        ++stats.visitor_flows;
-        continue;
+    pool.ParallelFor(n, kFlowGrain, [&](std::size_t chunk, std::size_t begin,
+                                        std::size_t end) {
+      Pass3Shard& shard = shards[chunk];
+      std::unordered_set<privacy::DeviceId, privacy::DeviceIdHash> devices_seen;
+      std::unordered_set<std::string_view> domains_seen;
+      for (std::size_t i = begin; i < end; ++i) {
+        if (disposition[i] == kDrop) continue;
+        if (disposition[i] == kVisitor) {
+          ++shard.visitors;
+          continue;
+        }
+        ++shard.kept;
+        if (devices_seen.insert(device_ids[i]).second) {
+          shard.first_device_flows.push_back(i);
+        }
+        if (disposition[i] == kKeepDomain && !domains[i].empty() &&
+            domains_seen.insert(domains[i]).second) {
+          shard.first_domains.push_back(domains[i]);
+        }
       }
-      const net::MacAddress mac(record_macs[i]);
-      const flow::FlowRecord& rec = inputs.flows[i];
-      auto [it, inserted] = index.try_emplace(device_ids[i], 0);
-      if (inserted) {
+    });
+
+    std::unordered_map<std::string_view, DomainId> domain_ids;
+    std::vector<std::uint64_t> offsets(num_chunks + 1, 0);
+    for (std::size_t c = 0; c < num_chunks; ++c) {
+      for (const std::size_t i : shards[c].first_device_flows) {
+        auto [it, inserted] = index.try_emplace(device_ids[i], 0);
+        if (!inserted) continue;
         it->second = ds.AddDevice(device_ids[i]);
+        const net::MacAddress mac(record_macs[i]);
         classify::DeviceObservations& obs = ds.device_mutable(it->second).observations;
         obs.oui = mac.oui();
         obs.locally_administered = world::OuiDatabase::IsLocallyAdministered(mac);
       }
-      const DeviceIndex dev = it->second;
+      for (const std::string_view domain : shards[c].first_domains) {
+        auto [it, inserted] = domain_ids.try_emplace(domain, kNoDomain);
+        if (inserted) it->second = ds.InternDomain(domain);
+      }
+      stats.visitor_flows += shards[c].visitors;
+      offsets[c + 1] = offsets[c] + shards[c].kept;
+    }
 
-      Flow f;
-      f.start_offset_s = static_cast<std::uint32_t>(rec.start - study_start);
-      f.duration_s = static_cast<float>(rec.duration_s);
-      f.device = dev;
-      f.domain = disposition[i] == kKeepDomain ? ds.InternDomain(domains[i]) : kNoDomain;
-      f.server_ip = rec.server_ip;
-      f.server_port = rec.server_port;
-      f.proto = static_cast<std::uint8_t>(rec.proto);
-      f.bytes_up = rec.bytes_up;
-      f.bytes_down = rec.bytes_down;
-      ds.AddFlow(f);
+    std::vector<Flow> flows(offsets[num_chunks]);
+    pool.ParallelFor(n, kFlowGrain, [&](std::size_t chunk, std::size_t begin,
+                                        std::size_t end) {
+      std::uint64_t out = offsets[chunk];
+      for (std::size_t i = begin; i < end; ++i) {
+        if (disposition[i] < kKeep) continue;
+        const DeviceIndex dev = index.find(device_ids[i])->second;
+        DomainId domain = kNoDomain;
+        if (disposition[i] == kKeepDomain) {
+          if (domains[i].empty()) {
+            shards[chunk].empty_domain_bytes.emplace_back(
+                dev, inputs.flows[i].total_bytes());
+          } else {
+            domain = domain_ids.find(domains[i])->second;
+          }
+        }
+        flows[out++] = MakeFlow(inputs.flows[i], dev, domain);
+      }
+    });
+    ds.AdoptFlows(std::move(flows));
+    // The raw flow records and per-flow side arrays are spent: release them
+    // before Finalize allocates its scatter buffer.
+    std::vector<flow::FlowRecord>().swap(inputs.flows);
+    std::vector<std::uint64_t>().swap(record_macs);
+    std::vector<privacy::DeviceId>().swap(device_ids);
+    std::vector<std::uint8_t>().swap(disposition);
+    std::vector<std::string_view>().swap(domains);
+  }
 
-      classify::DeviceObservations& obs = ds.device_mutable(dev).observations;
-      obs.total_bytes += f.total_bytes();
-      obs.flow_count += 1;
-      if (disposition[i] == kKeepDomain) {
-        obs.bytes_by_domain[std::string(domains[i])] += f.total_bytes();
+  {
+    OBS_SPAN("pipeline/finalize");
+    ds.Finalize(pool);
+  }
+
+  // --- Per-device observations, folded over the finalized CSR ----------------
+  {
+    OBS_SPAN("pipeline/observations");
+    pool.ParallelFor(ds.num_devices(), kDeviceGrain,
+                     [&](std::size_t, std::size_t begin, std::size_t end) {
+                       std::vector<std::pair<DomainId, std::uint64_t>> scratch;
+                       for (std::size_t d = begin; d < end; ++d) {
+                         const auto dev = static_cast<DeviceIndex>(d);
+                         FoldObservations(ds.FlowsOfDevice(dev), ds.domains(),
+                                          ds.device_mutable(dev).observations, scratch);
+                       }
+                     });
+    for (const Pass3Shard& shard : shards) {
+      for (const auto& [dev, bytes] : shard.empty_domain_bytes) {
+        ds.device_mutable(dev).observations.bytes_by_domain[""] += bytes;
       }
     }
   }
@@ -226,7 +350,6 @@ CollectionResult MeasurementPipeline::Process(RawInputs inputs,
     }
   }
 
-  ds.Finalize();
   RecordPipelineStats(stats, ds.num_flows());
   return result;
 }
@@ -244,15 +367,21 @@ CollectionResult MeasurementPipeline::Collect(const StudyConfig& config,
                               [&inputs](const flow::FlowRecord& rec) {
                                 inputs.flows.push_back(rec);
                               });
-    generator.Run([&](const flow::TapEvent& ev) {
-      // Tap exclusion list (§3): traffic to these networks is never mirrored.
-      const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
-      if (svc && catalog.Get(*svc).tap_excluded) {
-        ++tap_excluded;
-        return;
-      }
-      assembler.Ingest(ev);
-    });
+    // The sink may run on the generator's delivery thread; it touches only
+    // the assembler, its flow vector and tap_excluded, and the generator's
+    // logs are read after Run returns.
+    generator.Run(
+        [&](const flow::TapEvent& ev) {
+          // Tap exclusion list (§3): traffic to these networks is never
+          // mirrored.
+          const auto svc = catalog.FindByIp(ev.tuple.dst_ip);
+          if (svc && catalog.Get(*svc).tap_excluded) {
+            ++tap_excluded;
+            return;
+          }
+          assembler.Ingest(ev);
+        },
+        config.threads);
     assembler.Finish();
   }
 

@@ -59,7 +59,8 @@ struct RawInputs {
 
 class MeasurementPipeline {
  public:
-  /// Runs generation + the full processing pipeline.
+  /// Runs generation + the full processing pipeline. `config.threads`
+  /// drives both (see TrafficGenerator::Run and Process).
   [[nodiscard]] static CollectionResult Collect(
       const StudyConfig& config,
       const world::ServiceCatalog& catalog = world::ServiceCatalog::Default());
@@ -68,12 +69,14 @@ class MeasurementPipeline {
   /// filtering) over pre-collected inputs. `stats.raw_flows` and
   /// `stats.tap_excluded` reflect the inputs as given.
   ///
-  /// `threads` shards the attribution, retention/DNS-mapping, and UA lookup
-  /// passes across a thread pool (0 = LOCKDOWN_THREADS/hardware; see
-  /// util::ResolveThreadCount). The dataset is assembled by merging the
-  /// per-thread shards in chunk order, so device indices, interned-domain
-  /// ids, flow order, and every CollectionStats counter are byte-identical
-  /// for any thread count.
+  /// `threads` shards the index builds, the attribution, retention/DNS-
+  /// mapping and assembly passes, Dataset::Finalize, the per-device
+  /// observation fold and the UA lookups across a thread pool (0 =
+  /// LOCKDOWN_THREADS/hardware; see util::ResolveThreadCount). Per-chunk
+  /// results merge in chunk order, so device indices, interned-domain ids,
+  /// flow order, and every CollectionStats counter are byte-identical for
+  /// any thread count. The raw flows are released once the dataset's flow
+  /// array is built.
   [[nodiscard]] static CollectionResult Process(RawInputs inputs,
                                                 const privacy::Anonymizer& anonymizer,
                                                 int visitor_min_days,

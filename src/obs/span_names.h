@@ -17,9 +17,12 @@
 
 namespace lockdown::obs {
 
-inline constexpr std::array<std::string_view, 38> kRegisteredSpanNames = {
+inline constexpr std::array<std::string_view, 41> kRegisteredSpanNames = {
     "ingest/export",
     "pipeline/collect",
+    "pipeline/finalize",
+    "pipeline/indexes",
+    "pipeline/observations",
     "pipeline/pass1_attribution",
     "pipeline/pass2_retention_dns",
     "pipeline/pass3_assemble",

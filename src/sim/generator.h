@@ -17,6 +17,7 @@
 #include "flow/event.h"
 #include "sim/activity.h"
 #include "sim/population.h"
+#include "util/thread_pool.h"
 #include "world/catalog.h"
 
 namespace lockdown::sim {
@@ -48,7 +49,16 @@ class TrafficGenerator {
                        world::ServiceCatalog::Default());
 
   /// Runs the simulation, delivering tap events in non-decreasing time order.
-  void Run(const TapSink& sink);
+  ///
+  /// `threads` (0 = LOCKDOWN_THREADS/hardware; see util::ResolveThreadCount)
+  /// plans each day's devices in parallel and overlaps generation with
+  /// delivery: while day d+1 is planned and emitted, one helper thread sorts
+  /// day d's events and hands them to the sink. The sink's contract is the same at any
+  /// thread count — calls are serial and in time order, possibly from that
+  /// helper thread, so the sink must not touch this generator. Events, logs
+  /// and sightings are byte-identical for every thread count. If the sink
+  /// throws, Run rethrows the exception once the helper thread has joined.
+  void Run(const TapSink& sink, int threads = 0);
 
   [[nodiscard]] const Population& population() const noexcept { return population_; }
   [[nodiscard]] const std::vector<dhcp::Lease>& dhcp_log() const noexcept {
@@ -71,6 +81,34 @@ class TrafficGenerator {
                                        util::Pcg32& rng) const;
 
  private:
+  /// One device's sessions for one day; `plans` is empty when it is idle.
+  struct DevicePlan {
+    std::vector<SessionPlan> plans;
+    util::Pcg32 rng{0};  ///< the (device, day) stream, continued by emission
+    std::size_t ua_session = 0;  ///< index of the UA-leaking session, or size
+  };
+  /// A planned session queued for the day's time-ordered emission.
+  struct PendingSession {
+    util::Timestamp start = 0;
+    const SessionPlan* plan = nullptr;
+    std::uint32_t device = 0;
+    bool expose_ua = false;
+  };
+  /// Buffers reused from day to day. Plans stay in their device's slot, so
+  /// the worker that plans a device next frees its previous sessions.
+  struct DayScratch {
+    std::vector<DevicePlan> slots;
+    std::vector<PendingSession> sessions;
+  };
+
+  /// Plans `dev`'s day into `out`. Touches no shared mutable state, so the
+  /// devices of one day plan in parallel.
+  void PlanDevice(const SimDevice& dev, int day, DevicePlan& out) const;
+  /// Replaces `events` with one day's tap events in emission order; the
+  /// caller sorts them by time. Planning runs under `pool`; emission stays
+  /// serial.
+  void GenerateDay(int day, const util::ThreadPool& pool, DayScratch& scratch,
+                   std::vector<flow::TapEvent>& events);
   void EmitSession(const SimDevice& dev, const SessionPlan& plan,
                    bool expose_ua, util::Pcg32& rng,
                    std::vector<flow::TapEvent>& events);

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string_view>
 
@@ -32,5 +33,14 @@ struct SipHashKey {
 
 /// SipHash-2-4 over a single 64-bit value (common case: MAC / IPv4 inputs).
 [[nodiscard]] std::uint64_t SipHash24(SipHashKey key, std::uint64_t value) noexcept;
+
+/// Transparent string hash: with std::equal_to<> it lets a string-keyed
+/// unordered container look up string_views without allocating a key.
+struct StringHash {
+  using is_transparent = void;
+  [[nodiscard]] std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 }  // namespace lockdown::util

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "util/rng.h"
+#include "util/thread_pool.h"
+
 namespace lockdown::core {
 namespace {
 
@@ -87,6 +93,72 @@ TEST(Dataset, ObservationsMutable) {
   ds.device_mutable(a).observations.AddUserAgent("agent");  // dedup
   EXPECT_EQ(ds.device(a).observations.total_bytes, 42u);
   EXPECT_EQ(ds.device(a).observations.user_agents.size(), 1u);
+}
+
+// Builds a dataset over `num_devices` devices from `flows` (bytes_up tags
+// each flow with its insertion index, so order is observable) and checks
+// that Finalize under pools of 1, 2, 3 and 8 lanes gives exactly the order
+// of a stable sort by (device, start) plus the matching CSR offsets.
+void ExpectFinalizeMatchesStableSort(std::size_t num_devices, std::vector<Flow> flows) {
+  for (std::size_t i = 0; i < flows.size(); ++i) flows[i].bytes_up = i;
+  std::vector<Flow> want = flows;
+  std::stable_sort(want.begin(), want.end(), [](const Flow& a, const Flow& b) {
+    if (a.device != b.device) return a.device < b.device;
+    return a.start_offset_s < b.start_offset_s;
+  });
+  std::vector<std::uint64_t> want_offsets(num_devices + 1, 0);
+  for (const Flow& f : flows) ++want_offsets[f.device + 1];
+  for (std::size_t d = 1; d <= num_devices; ++d) want_offsets[d] += want_offsets[d - 1];
+
+  for (const int threads : {1, 2, 3, 8}) {
+    Dataset ds;
+    for (std::size_t d = 0; d < num_devices; ++d) ds.AddDevice(privacy::DeviceId{d + 1});
+    ds.AdoptFlows(flows);
+    ds.Finalize(util::ThreadPool(threads));
+    const auto got = ds.flows();
+    ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      ASSERT_EQ(got[i].bytes_up, want[i].bytes_up) << "threads=" << threads << " at " << i;
+    }
+    const auto offsets = ds.device_offsets();
+    ASSERT_TRUE(std::equal(offsets.begin(), offsets.end(), want_offsets.begin(),
+                           want_offsets.end()))
+        << "threads=" << threads;
+  }
+}
+
+// Enough flows for many scatter chunks, with ties everywhere: a few start
+// seconds shared by many flows of the same device, devices interleaved in
+// insertion order, and every fourth device without flows.
+TEST(Dataset, ParallelFinalizeKeepsTiesInInsertionOrder) {
+  constexpr std::size_t kDevices = 40;
+  util::Pcg32 rng(7, 1);
+  std::vector<Flow> flows;
+  for (int i = 0; i < 200000; ++i) {
+    auto dev = static_cast<DeviceIndex>(rng.NextBounded(kDevices));
+    if (dev % 4 == 3) dev -= 1;
+    flows.push_back(MakeFlow(dev, 60 * rng.NextBounded(5)));
+  }
+  ExpectFinalizeMatchesStableSort(kDevices, std::move(flows));
+}
+
+TEST(Dataset, ParallelFinalizeSingleDevice) {
+  util::Pcg32 rng(8, 1);
+  std::vector<Flow> flows;
+  for (int i = 0; i < 100000; ++i) flows.push_back(MakeFlow(0, rng.NextBounded(3)));
+  ExpectFinalizeMatchesStableSort(1, std::move(flows));
+}
+
+TEST(Dataset, ParallelFinalizeNoFlows) {
+  ExpectFinalizeMatchesStableSort(5, {});
+  ExpectFinalizeMatchesStableSort(0, {});
+}
+
+TEST(Dataset, FinalizeRejectsFlowOfUnknownDevice) {
+  Dataset ds;
+  ds.AddDevice(privacy::DeviceId{1});
+  ds.AddFlow(MakeFlow(1, 0));
+  EXPECT_THROW(ds.Finalize(), std::logic_error);
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <unordered_set>
 
+#include "obs/obs.h"
 #include "sim/generator.h"
 #include "world/oui_db.h"
 
@@ -201,6 +203,98 @@ TEST_F(PipelineTest, UaCountersPartitionTheLog) {
   const std::size_t total_ua = generator.ua_sightings().size();
   EXPECT_EQ(st.ua_sightings + st.ua_unattributed + st.ua_visitor_dropped,
             total_ua);
+}
+
+// A DNS answer whose name is the empty string still maps the flow: the flow
+// carries kNoDomain (there is no name to intern), but its bytes count under
+// bytes_by_domain[""], next to the named domains, at any thread count.
+TEST(PipelineDomainFold, EmptyDomainNameKeepsItsBytes) {
+  const util::Timestamp t0 = util::StudyCalendar::StartTs();
+  const net::MacAddress mac(0x0017F2000001ULL);
+  const net::Ipv4Address client(10, 16, 0, 1);
+  const net::Ipv4Address nameless(198, 51, 100, 7);
+  const net::Ipv4Address named(198, 51, 100, 8);
+  const net::Ipv4Address unresolved(198, 51, 100, 9);
+
+  RawInputs inputs;
+  inputs.dhcp_log.push_back(
+      dhcp::Lease{mac, client, t0, t0 + 40 * util::kSecondsPerDay});
+  inputs.dns_log.push_back(dns::Resolution{t0, mac, "", nameless, 3600});
+  inputs.dns_log.push_back(dns::Resolution{t0, mac, "example.org", named, 3600});
+  std::uint64_t bytes_to[3] = {0, 0, 0};
+  const net::Ipv4Address servers[3] = {nameless, named, unresolved};
+  for (int day = 0; day < 16; ++day) {
+    for (int s = 0; s < 3; ++s) {
+      flow::FlowRecord rec;
+      rec.start = t0 + day * util::kSecondsPerDay + 600 * s;
+      rec.duration_s = 5.0;
+      rec.client_ip = client;
+      rec.server_ip = servers[s];
+      rec.server_port = 443;
+      rec.bytes_up = 100 + static_cast<std::uint64_t>(day);
+      rec.bytes_down = 1000 * static_cast<std::uint64_t>(s + 1);
+      bytes_to[s] += rec.total_bytes();
+      inputs.flows.push_back(rec);
+    }
+  }
+
+  const privacy::Anonymizer anon(util::SipHashKey{11, 22});
+  for (const int threads : {1, 4}) {
+    const auto result = MeasurementPipeline::Process(inputs, anon, 14, threads);
+    ASSERT_EQ(result.dataset.num_devices(), 1u);
+    const auto& obs = result.dataset.device(0).observations;
+    ASSERT_EQ(obs.bytes_by_domain.size(), 2u) << "threads=" << threads;
+    EXPECT_EQ(obs.bytes_by_domain.at(""), bytes_to[0]) << "threads=" << threads;
+    EXPECT_EQ(obs.bytes_by_domain.at("example.org"), bytes_to[1]);
+    EXPECT_EQ(obs.total_bytes, bytes_to[0] + bytes_to[1] + bytes_to[2]);
+    EXPECT_EQ(obs.flow_count, 48u);
+    EXPECT_EQ(result.dataset.num_domains(), 2u);  // "" and example.org
+    for (const Flow& f : result.dataset.flows()) {
+      if (f.server_ip == named) {
+        EXPECT_EQ(result.dataset.DomainName(f.domain), "example.org");
+      } else {
+        EXPECT_EQ(f.domain, kNoDomain);
+      }
+    }
+  }
+}
+
+// The direct children of pipeline/process account for its time: no stage of
+// Process runs outside a named span.
+TEST(PipelineSpans, ChildrenCoverProcess) {
+  constexpr std::string_view kChildren[] = {
+      "pipeline/indexes",
+      "pipeline/pass1_attribution",
+      "pipeline/pass2_retention_dns",
+      "pipeline/pass3_assemble",
+      "pipeline/finalize",
+      "pipeline/observations",
+      "pipeline/ua_sightings",
+  };
+  for (const int threads : {1, 4}) {
+    StudyConfig config = StudyConfig::Small(60, 2020);
+    config.threads = threads;
+    obs::ResetMetrics();
+    obs::SetMetricsEnabled(true);
+    (void)MeasurementPipeline::Collect(config);
+    obs::SetMetricsEnabled(false);
+    std::uint64_t process_us = 0;
+    std::uint64_t children_us = 0;
+    for (const auto& h : obs::SnapshotMetrics().histograms) {
+      if (h.name == "pipeline/process") {
+        EXPECT_EQ(h.count, 1u);
+        process_us = h.sum;
+      }
+      for (const std::string_view child : kChildren) {
+        if (h.name == child) children_us += h.sum;
+      }
+    }
+    obs::ResetMetrics();
+    ASSERT_GT(process_us, 0u) << "threads=" << threads;
+    EXPECT_GE(static_cast<double>(children_us), 0.9 * static_cast<double>(process_us))
+        << "threads=" << threads << ": children " << children_us << " us of "
+        << process_us << " us";
+  }
 }
 
 TEST_F(PipelineTest, DifferentSeedsProduceDifferentPseudonyms) {

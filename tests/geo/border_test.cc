@@ -11,6 +11,11 @@ struct BorderCase {
   bool inside;
 };
 
+// Without this gtest prints the raw bytes of the case, which include the
+// address of `name`; that address moves with ASLR, so every listing of the
+// suite would give the same cases new names.
+void PrintTo(const BorderCase& c, std::ostream* os) { *os << c.name; }
+
 class UsBorderTest : public ::testing::TestWithParam<BorderCase> {};
 
 TEST_P(UsBorderTest, Contains) {

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
+#include <vector>
 
 #include "sim/timeline.h"
 
@@ -166,6 +168,108 @@ TEST(TrafficGenerator, ActiveDeviceCountCollapsesMidMarch) {
   const std::size_t feb_peak = daily[12].size();   // mid-February
   const std::size_t may = daily[100].size();       // mid-May
   EXPECT_GT(feb_peak, 2 * may);
+}
+
+// Everything one Run produces, for byte-for-byte comparison across thread
+// counts.
+struct RunOutput {
+  std::vector<flow::TapEvent> events;
+  std::vector<dhcp::Lease> dhcp;
+  std::vector<dns::Resolution> dns;
+  std::vector<UaSighting> ua;
+};
+
+RunOutput RunWithThreads(const GeneratorConfig& cfg, int threads) {
+  TrafficGenerator gen(cfg);
+  RunOutput out;
+  gen.Run([&out](const flow::TapEvent& ev) { out.events.push_back(ev); }, threads);
+  out.dhcp = gen.dhcp_log();
+  out.dns = gen.dns_log();
+  out.ua = gen.ua_sightings();
+  return out;
+}
+
+void ExpectRunsIdentical(const RunOutput& a, const RunOutput& b, int threads) {
+  ASSERT_EQ(a.events.size(), b.events.size()) << "threads=" << threads;
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    const flow::TapEvent& x = a.events[i];
+    const flow::TapEvent& y = b.events[i];
+    ASSERT_TRUE(x.ts == y.ts && x.kind == y.kind && x.tuple == y.tuple &&
+                x.bytes_up == y.bytes_up && x.bytes_down == y.bytes_down)
+        << "threads=" << threads << " event " << i;
+  }
+  EXPECT_EQ(a.dhcp, b.dhcp) << "threads=" << threads;
+  ASSERT_EQ(a.dns.size(), b.dns.size()) << "threads=" << threads;
+  for (std::size_t i = 0; i < a.dns.size(); ++i) {
+    const dns::Resolution& x = a.dns[i];
+    const dns::Resolution& y = b.dns[i];
+    ASSERT_TRUE(x.ts == y.ts && x.client == y.client && x.qname == y.qname &&
+                x.answer == y.answer && x.ttl == y.ttl)
+        << "threads=" << threads << " resolution " << i;
+  }
+  ASSERT_EQ(a.ua.size(), b.ua.size()) << "threads=" << threads;
+  for (std::size_t i = 0; i < a.ua.size(); ++i) {
+    ASSERT_TRUE(a.ua[i].ts == b.ua[i].ts && a.ua[i].client_ip == b.ua[i].client_ip &&
+                a.ua[i].user_agent == b.ua[i].user_agent)
+        << "threads=" << threads << " sighting " << i;
+  }
+}
+
+// Parallel day planning and the overlapped delivery thread must not change a
+// single byte: same events in the same order, same DHCP/DNS logs, same UA
+// sightings, whatever the thread count.
+TEST(TrafficGenerator, OutputIdenticalAcrossThreadCounts) {
+  const GeneratorConfig cfg = SmallConfig(60, 909);
+  const RunOutput serial = RunWithThreads(cfg, 1);
+  ASSERT_FALSE(serial.events.empty());
+  ASSERT_FALSE(serial.ua.empty());
+  for (const int threads : {2, 3, 8}) {
+    ExpectRunsIdentical(serial, RunWithThreads(cfg, threads), threads);
+  }
+}
+
+// A sink that throws stops the run: Run rethrows the sink's own exception,
+// and once it returns the delivery thread is gone — no call reaches the sink
+// afterwards.
+TEST(TrafficGenerator, ThrowingSinkPropagatesOutOfRun) {
+  GeneratorConfig cfg = SmallConfig(40);
+  cfg.last_day = 30;
+  for (const int threads : {1, 4}) {
+    for (const std::uint64_t throw_at : {std::uint64_t{0}, std::uint64_t{5000}}) {
+      TrafficGenerator gen(cfg);
+      std::uint64_t calls = 0;
+      const auto sink = [&calls, throw_at](const flow::TapEvent&) {
+        if (calls++ == throw_at) throw std::runtime_error("sink failed");
+      };
+      try {
+        gen.Run(sink, threads);
+        ADD_FAILURE() << "Run returned normally, threads=" << threads;
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "sink failed");
+      }
+      EXPECT_EQ(calls, throw_at + 1) << "threads=" << threads;
+    }
+  }
+}
+
+// The last day is the one still queued when generation ends: a sink failing
+// there must surface from Run just the same.
+TEST(TrafficGenerator, ThrowingSinkOnLastDayPropagates) {
+  GeneratorConfig cfg = SmallConfig(40);
+  cfg.first_day = 20;
+  cfg.last_day = 23;
+  std::uint64_t total = 0;
+  TrafficGenerator(cfg).Run([&total](const flow::TapEvent&) { ++total; }, 1);
+  ASSERT_GT(total, 0u);
+  TrafficGenerator gen(cfg);
+  std::uint64_t calls = 0;
+  EXPECT_THROW(gen.Run(
+                   [&calls, total](const flow::TapEvent&) {
+                     if (++calls == total) throw std::runtime_error("last event");
+                   },
+                   4),
+               std::runtime_error);
+  EXPECT_EQ(calls, total);
 }
 
 }  // namespace

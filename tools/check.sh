@@ -6,7 +6,8 @@
 # tsan pass covers the parallel pipeline/study: it forces LOCKDOWN_THREADS=8
 # so the sharded passes actually run multi-threaded (this box may be
 # single-core, where the pool would otherwise fall back to serial) and runs
-# the thread-pool, pipeline, and differential parallel-equivalence tests.
+# the thread-pool, generator, dataset, pipeline, and differential
+# parallel-equivalence tests.
 #
 # A fourth, CLI-level fault tier exercises the ingest robustness surface
 # end-to-end: it exports a small campus, corrupts the snapshot and the TSV
@@ -126,14 +127,17 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
     -DLOCKDOWN_BUILD_BENCH=OFF
   echo "=== tsan: build ==="
-  cmake --build "${dir}" -j "${jobs}" --target util_test core_test stream_test obs_test
+  cmake --build "${dir}" -j "${jobs}" --target util_test core_test stream_test obs_test sim_test
   echo "=== tsan: parallel tests (LOCKDOWN_THREADS=8) ==="
   LOCKDOWN_THREADS=8 "${dir}/tests/util_test" --gtest_filter='ThreadPool*'
+  # Parallel day planning and the generator's producer/consumer hand-off to
+  # its delivery thread, including a sink that throws mid-run.
+  LOCKDOWN_THREADS=8 "${dir}/tests/sim_test" --gtest_filter='TrafficGenerator.*'
   # Lock-free metric shards: concurrent counter/histogram updates from
   # ParallelFor lanes must merge to exact totals without races.
   LOCKDOWN_THREADS=8 "${dir}/tests/obs_test" --gtest_filter='MetricsRegistry.*'
   LOCKDOWN_THREADS=8 "${dir}/tests/core_test" \
-    --gtest_filter='ParallelEquivalence.*:Pipeline*:GoldenFigures.*'
+    --gtest_filter='ParallelEquivalence.*:Pipeline*:GoldenFigures.*:Dataset.*'
   # Parallel sketch merges: per-device scratch flushed into shared sketches
   # must be race-free, not just deterministic.
   LOCKDOWN_THREADS=8 "${dir}/tests/stream_test" \
@@ -168,9 +172,11 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
 
   echo "=== fault: corrupt snapshot -> tolerant falls back, strict exits 4 ==="
   cp -r "${work}/clean" "${work}/badsnap"
-  # Flip one byte in the middle of the snapshot payload.
+  # Flip every bit of one byte in the middle of the snapshot payload (writing
+  # a fixed value would change nothing where the byte already holds it).
   size=$(stat -c %s "${work}/badsnap/dataset.lds")
-  printf '\xff' | dd of="${work}/badsnap/dataset.lds" bs=1 \
+  byte=$(od -An -tu1 -j $((size / 2)) -N1 "${work}/badsnap/dataset.lds" | tr -d ' ')
+  printf "\\x$(printf %02x $((byte ^ 0xff)))" | dd of="${work}/badsnap/dataset.lds" bs=1 \
     seek=$((size / 2)) conv=notrunc status=none
   expect_exit 4 "${cli}" analyze --logs "${work}/badsnap" --students 60 --seed 11
   expect_exit 0 "${cli}" analyze --logs "${work}/badsnap" --students 60 --seed 11 \
