@@ -1,11 +1,14 @@
 // Canonical text rendering of every study output (Figures 1-8, extension
-// analyses, headline stats), shared by the golden-figure regression test and
-// the query-path differential tests. Doubles print with %.17g, which
-// round-trips IEEE binary64 exactly, so two renderings are equal iff every
-// figure is bit-identical.
+// analyses, headline stats), shared by the golden-figure regression tests and
+// the figure differential tests. Doubles print with %.17g, which round-trips
+// IEEE binary64 exactly, so two renderings are equal iff every figure is
+// bit-identical. The renderer takes either engine: LockdownStudy counts
+// Figure 1 devices as ints, StreamingStudy estimates them as doubles.
 #pragma once
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -13,6 +16,7 @@
 #include "analysis/stats.h"
 #include "core/pipeline.h"
 #include "core/study.h"
+#include "util/time.h"
 
 namespace lockdown::core::testing {
 
@@ -22,6 +26,9 @@ inline std::string RenderNum(double v) {
   return buf;
 }
 
+inline std::string RenderCount(int v) { return std::to_string(v); }
+inline std::string RenderCount(double v) { return RenderNum(v); }
+
 inline void RenderBoxLine(std::ostringstream& out, const std::string& tag,
                           const analysis::BoxStats& b) {
   out << tag << '\t' << b.n << '\t' << RenderNum(b.p1) << '\t'
@@ -30,9 +37,10 @@ inline void RenderBoxLine(std::ostringstream& out, const std::string& tag,
       << RenderNum(b.p99) << '\t' << RenderNum(b.mean) << '\n';
 }
 
-/// Renders every figure the given study computes over the given collection.
-inline std::string RenderFigures(const CollectionResult& collection,
-                                 const LockdownStudy& study) {
+/// Renders every figure the given study (LockdownStudy or StreamingStudy)
+/// computes over the given collection.
+template <typename Study>
+std::string RenderFigures(const CollectionResult& collection, const Study& study) {
   const auto Num = RenderNum;
   std::ostringstream out;
   const auto& st = collection.stats;
@@ -44,8 +52,8 @@ inline std::string RenderFigures(const CollectionResult& collection,
 
   for (const auto& row : study.ActiveDevicesPerDay()) {
     out << "fig1\t" << row.day;
-    for (const int v : row.by_class) out << '\t' << v;
-    out << '\t' << row.total << '\n';
+    for (const auto v : row.by_class) out << '\t' << RenderCount(v);
+    out << '\t' << RenderCount(row.total) << '\n';
   }
   for (const auto& row : study.BytesPerDevicePerDay()) {
     out << "fig2\t" << row.day;
@@ -115,6 +123,42 @@ inline std::string RenderFigures(const CollectionResult& collection,
       << '\t' << h.international_devices << '\t'
       << Num(h.international_share) << '\n';
   return out.str();
+}
+
+/// Diffs `rendered` against the checked-in fixture at `path` and returns ""
+/// when they match, else a message naming the first differing line. With
+/// LOCKDOWN_REGEN_GOLDEN set it rewrites the fixture instead and returns "".
+inline std::string CompareWithGolden(const std::string& rendered,
+                                     const std::string& path) {
+  if (std::getenv("LOCKDOWN_REGEN_GOLDEN") != nullptr) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << rendered;
+    return out ? "" : "cannot write " + path;
+  }
+  std::ifstream in(path, std::ios::binary);
+  if (!in) {
+    return "missing golden fixture " + path +
+           " — run with LOCKDOWN_REGEN_GOLDEN=1 to create it";
+  }
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const std::string golden = buf.str();
+  if (rendered == golden) return "";
+  std::istringstream ra(rendered);
+  std::istringstream rb(golden);
+  std::string la;
+  std::string lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(ra, la));
+    const bool more_b = static_cast<bool>(std::getline(rb, lb));
+    if (!more_a && !more_b) break;
+    if (la != lb || more_a != more_b) {
+      return "figure output diverges from " + path + " at line " +
+             std::to_string(line) + "\n  golden:   " + (more_b ? lb : "<eof>") +
+             "\n  computed: " + (more_a ? la : "<eof>");
+    }
+  }
+  return "outputs differ only in trailing bytes";
 }
 
 }  // namespace lockdown::core::testing
