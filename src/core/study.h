@@ -2,12 +2,15 @@
 // Dataset. Method names reference the figure or section they reproduce.
 //
 // The shared census (classification, domain flags, cohort, intl split) lives
-// in StudyContext so the streaming engine (src/stream) can reuse it; this
-// class adds the batch figure computations, which materialise per-(day,
-// device) matrices and therefore scale with the dataset.
+// in StudyContext, and the figures come from the per-device pass in
+// core/figure_fold.h, both shared with the streaming engine (src/stream).
+// This engine runs the fold with the exact policy: every per-device value is
+// kept, so medians and box plots are exact and memory scales with the
+// dataset.
 #pragma once
 
 #include <array>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -15,11 +18,11 @@
 #include "analysis/timeseries.h"
 #include "core/dataset.h"
 #include "core/study_context.h"
-#include "query/columns.h"
-#include "query/kernels.h"
 #include "util/thread_pool.h"
 
 namespace lockdown::core {
+
+class FigureFold;
 
 class LockdownStudy {
  public:
@@ -27,13 +30,14 @@ class LockdownStudy {
   /// and derives the domestic/international split, and precomputes per-domain
   /// application flags.
   ///
-  /// `threads` shards the constructor passes and every figure computation
-  /// across a thread pool (0 = LOCKDOWN_THREADS/hardware; see
-  /// util::ResolveThreadCount). Work decomposes into fixed chunks that are
-  /// reduced in chunk order, so each figure's output is identical at any
-  /// thread count (see util/thread_pool.h for the determinism contract).
+  /// `threads` shards the census and the figure fold across a thread pool
+  /// (0 = LOCKDOWN_THREADS/hardware; see util::ResolveThreadCount). Work
+  /// decomposes into fixed chunks that are reduced in chunk order, so each
+  /// figure's output is identical at any thread count (see
+  /// util/thread_pool.h for the determinism contract).
   LockdownStudy(const Dataset& dataset, const world::ServiceCatalog& catalog,
                 int threads = 0);
+  ~LockdownStudy();
 
   // --- Device classification ------------------------------------------------
   [[nodiscard]] std::span<const classify::Classification> classifications() const noexcept {
@@ -172,12 +176,7 @@ class LockdownStudy {
  private:
   util::ThreadPool pool_;
   StudyContext ctx_;
-  /// Columnar projection of the flow array (finalize order, so the CSR
-  /// device offsets index it directly); the figure passes feed per-device
-  /// and per-chunk slices of these columns through query::Active()'s kernels.
-  query::FlowColumns cols_;
-  std::vector<std::uint8_t> zoom_mask_;      ///< per flow: IsZoomFlow
-  std::vector<std::uint8_t> not_zoom_mask_;  ///< complement of zoom_mask_
+  std::unique_ptr<const FigureFold> fold_;  ///< exact policy
 };
 
 }  // namespace lockdown::core
