@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/study.h"
+#include "stream/streaming_study.h"
 
 namespace lockdown::core {
 namespace {
@@ -71,9 +72,13 @@ class StudyBuilder {
             ServiceIp("web-us-000"), 1000);
   }
 
-  LockdownStudy Build() {
+  const Dataset& Finalized() {
     ds_.Finalize();
-    return LockdownStudy(ds_, world::ServiceCatalog::Default());
+    return ds_;
+  }
+
+  LockdownStudy Build() {
+    return LockdownStudy(Finalized(), world::ServiceCatalog::Default());
   }
 
  private:
@@ -279,6 +284,28 @@ TEST(StudyUnit, ActiveDevicesCountDistinctDays) {
   EXPECT_EQ(rows[static_cast<std::size_t>(Day(2, 3))]
                 .by_class[static_cast<std::size_t>(ReportClass::kMobile)],
             1);
+}
+
+// A post-shutdown day with no active device is the trough, even when later
+// days have traffic again (a zero minimum is a real minimum, not "unset").
+TEST(StudyUnit, HeadlineTroughIncludesADayWithNoActiveDevice) {
+  StudyBuilder b;
+  const DeviceIndex dev = b.AddMobileDevice();
+  const int gap = Day(4, 15);
+  for (int day = 0; day < StudyCalendar::NumDays(); ++day) {
+    if (day == gap) continue;
+    b.AddFlow(dev, static_cast<std::uint32_t>(day) * kSecondsAt + 12 * 3600, 60,
+              "netflix.com", ServiceIp("netflix"), 1000);
+  }
+  const Dataset& ds = b.Finalized();
+  const auto& catalog = world::ServiceCatalog::Default();
+  const LockdownStudy batch(ds, catalog);
+  const stream::StreamingStudy streaming(ds, catalog);
+  for (const LockdownStudy::Headline& h :
+       {batch.HeadlineStats(), streaming.HeadlineStats()}) {
+    EXPECT_EQ(h.peak_active_devices, 1);
+    EXPECT_EQ(h.trough_active_devices, 0);
+  }
 }
 
 }  // namespace
