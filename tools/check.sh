@@ -4,10 +4,11 @@
 # The asan pass exists chiefly for src/store — mmap'd zero-copy pointer casts
 # and the binary decoder must be provably clean, not just test-green. The
 # tsan pass covers the parallel pipeline/study: it forces LOCKDOWN_THREADS=8
-# so the sharded passes actually run multi-threaded (this box may be
+# so the sharded passes actually run multi-threaded (the host may be
 # single-core, where the pool would otherwise fall back to serial) and runs
-# the thread-pool, generator, dataset, pipeline, and differential
-# parallel-equivalence tests.
+# the thread-pool, generator, dataset, pipeline, and parallel-equivalence
+# tests, plus the figure fold's thread-count bit-identity tests under both
+# of its policies (exact for LockdownStudy, sketched for StreamingStudy).
 #
 # A fourth, CLI-level fault tier exercises the ingest robustness surface
 # end-to-end: it exports a small campus, corrupts the snapshot and the TSV
@@ -19,9 +20,7 @@
 # The stream tier runs the streaming-vs-batch differential convergence suite
 # (tests/stream) under ASan+UBSan — including its FaultInjector leg, which
 # re-ingests a deterministically corrupted export before differencing — so
-# the sketch memory claims hold with the allocator instrumented. The tsan
-# pass additionally runs the streaming bit-identity test at LOCKDOWN_THREADS=8
-# to cover the parallel sketch merges.
+# the sketch memory claims hold with the allocator instrumented.
 #
 # The obs tier exercises the observability surface end-to-end: it runs the
 # CLI with --metrics-out/--trace-out plus an analyze/snapshot flow (so the
@@ -30,12 +29,10 @@
 # per-stage perf breakdown emitted by bench/perf_components through the obs
 # registry).
 #
-# The scalar tier reruns tier-1 with LOCKDOWN_NO_SIMD=1 so every figure and
-# differential test exercises the scalar kernel reference — the fallback
-# path for CPUs without AVX2 must stay exactly as green (and bit-identical)
-# as the SIMD path. The asan tier automatically covers the column-codec
-# fuzz and compressed byte-sweep tests (tests/store/codec_test.cc) since it
-# runs the full suite.
+# The figures come from one scalar per-device fold (src/core/figure_fold.h)
+# with no SIMD variant, so there is no kernel fallback tier. The asan tier
+# automatically covers the column-codec fuzz and compressed byte-sweep tests
+# (tests/store/codec_test.cc) since it runs the full suite.
 #
 # The crash tier is the kill-at-every-crash-point harness (DESIGN.md §12)
 # run with the allocator instrumented: it builds lockdown_cli and
@@ -57,7 +54,7 @@
 #
 # Usage: tools/check.sh [--default-only | --asan-only | --tsan-only |
 #                        --fault-only | --stream-only | --obs-only |
-#                        --scalar-only | --crash-only | --lint-only | lint]
+#                        --crash-only | --lint-only | lint]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -78,19 +75,6 @@ run_pass() {
 
 if [[ "${mode}" == "all" || "${mode}" == "--default-only" ]]; then
   run_pass "default" build
-fi
-
-if [[ "${mode}" == "all" || "${mode}" == "--scalar-only" ]]; then
-  # Tier-1 with the SIMD kernels disabled: the dispatch test proves the env
-  # var selects the scalar table; this proves everything else stays green
-  # (and the golden/differential figure tests: bit-identical) on it.
-  echo "=== scalar: configure (build) ==="
-  cmake -B build -S . >/dev/null
-  echo "=== scalar: build ==="
-  cmake --build build -j "${jobs}"
-  echo "=== scalar: ctest (LOCKDOWN_NO_SIMD=1) ==="
-  (cd build && LOCKDOWN_NO_SIMD=1 ctest --output-on-failure -j "${jobs}")
-  echo "=== scalar: OK ==="
 fi
 
 if [[ "${mode}" == "all" || "${mode}" == "--asan-only" ]]; then
@@ -136,10 +120,12 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
   # Lock-free metric shards: concurrent counter/histogram updates from
   # ParallelFor lanes must merge to exact totals without races.
   LOCKDOWN_THREADS=8 "${dir}/tests/obs_test" --gtest_filter='MetricsRegistry.*'
+  # The figure fold under the exact policy: chunk totals merged under a
+  # mutex, per-chunk value lists joined in chunk order.
   LOCKDOWN_THREADS=8 "${dir}/tests/core_test" \
-    --gtest_filter='ParallelEquivalence.*:Pipeline*:GoldenFigures.*:Dataset.*'
-  # Parallel sketch merges: per-device scratch flushed into shared sketches
-  # must be race-free, not just deterministic.
+    --gtest_filter='ParallelEquivalence.*:FiguresDifferentialTest.*:Pipeline*:GoldenFigures.*:Dataset.*'
+  # The figure fold under the sketched policy: each device drained into the
+  # shared sketches under a mutex must be race-free, not just deterministic.
   LOCKDOWN_THREADS=8 "${dir}/tests/stream_test" \
     --gtest_filter='StreamingStudy.BitIdenticalAcrossThreadCounts'
   echo "=== tsan: OK ==="
