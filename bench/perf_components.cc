@@ -298,7 +298,7 @@ void BM_SnapshotLoadMmap(benchmark::State& state) {
   const std::string& path = SnapshotFixture();
   for (auto _ : state) {
     const auto snap =
-        store::LoadSnapshot(path, {store::LoadMode::kMmap, true});
+        store::LoadSnapshot(path, {store::LoadMode::kMmap});
     benchmark::DoNotOptimize(snap.collection.dataset.num_flows());
   }
 }
@@ -308,7 +308,7 @@ void BM_SnapshotLoadCopy(benchmark::State& state) {
   const std::string& path = SnapshotFixture();
   for (auto _ : state) {
     const auto snap =
-        store::LoadSnapshot(path, {store::LoadMode::kCopy, true});
+        store::LoadSnapshot(path, {store::LoadMode::kCopy});
     benchmark::DoNotOptimize(snap.collection.dataset.num_flows());
   }
 }

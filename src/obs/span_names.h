@@ -17,7 +17,7 @@
 
 namespace lockdown::obs {
 
-inline constexpr std::array<std::string_view, 42> kRegisteredSpanNames = {
+inline constexpr std::array<std::string_view, 41> kRegisteredSpanNames = {
     "ingest/export",
     "pipeline/collect",
     "pipeline/finalize",
@@ -32,7 +32,6 @@ inline constexpr std::array<std::string_view, 42> kRegisteredSpanNames = {
     "store/load",
     "store/open",
     "store/save",
-    "store/verify_checksums",
     "stream/categories",
     "stream/diurnal",
     "stream/fig1_active_devices",

@@ -1,4 +1,4 @@
-// LDS ("Lockdown Dataset Snapshot") on-disk format, version 3.
+// LDS ("Lockdown Dataset Snapshot") on-disk format, version 4.
 //
 // The write-once/analyze-many layer: the processed dataset the paper keeps
 // after discarding raw data (§3), serialized so every downstream analysis
@@ -9,28 +9,25 @@
 //
 // All integers are little-endian. Every section begins at a 64-byte-aligned
 // offset and carries a CRC32C in its descriptor; the trailer carries a
-// CRC32C over the header + section table. Version-1 and version-2 files
-// contain exactly the six section kinds below, each once:
+// CRC32C over the header + section table. The header's section count is
+// authoritative; every kind appears at most once. Five sections are always
+// present:
 //
 //   kMeta          fixed 48B: counts, flow stride, provenance (students/seed)
-//   kFlows         num_flows x 40B fixed-stride core::Flow records, in
-//                  Dataset::Finalize() order — the mmap zero-copy target
 //   kDeviceOffsets CSR index, (num_devices+1) x u64
 //   kStringPool    interned strings; the first num_domains entries are the
 //                  dataset's domain pool in DomainId order (entry 0 = "")
 //   kDevices       variable-length device records (see reader/writer)
-//   kStats         core::CollectionStats, 9 x u64 (7 x u64 in version 1;
-//                  the reader zero-fills the UA-accounting fields there)
+//   kStats         core::CollectionStats, 9 x u64
 //
-// Version 3 makes the section set variable (the header's section count is
-// authoritative) and adds the columnar query layout:
+// The flows are stored one of two ways, never both:
 //
-//   kDayIndex      per-day section groups: for every study day, the list of
-//                  contiguous [begin, end) runs of the flow array whose
-//                  flows start on that day (flows are (device, start)-sorted,
-//                  so every (device, day) pair is one run). Figure queries
-//                  with a time range walk only these runs instead of the
-//                  whole flow array. Delta-varint coded.
+//   kFlows         num_flows x 40B fixed-stride core::Flow records, in
+//                  Dataset::Finalize() order — the mmap zero-copy target
+//
+// or, with optional column compression (`snapshot save --compress`; decoded
+// into an owned array on load):
+//
 //   kColTimestamps start_offset_s column, zigzag delta-varint coded
 //                  (deltas are small within a device run; the sign absorbs
 //                  the reset at device boundaries).
@@ -41,15 +38,15 @@
 //                  server_port u16 | proto u8 | bytes_up varint |
 //                  bytes_down varint.
 //
-// A v3 file stores flows either as kFlows (raw, zero-copy eligible) or as
-// the three kCol* sections (`snapshot save --compress`; decoded into an
-// owned array on load), never both. Every non-raw section's payload begins
-// with a u64 raw (decoded) byte size, and its descriptor's flags word
-// carries the codec id, so `snapshot info` can report per-section
-// compression ratios without decoding.
+// Every coded section's payload begins with a u64 raw (decoded) byte size,
+// and its descriptor's flags word carries the codec id, so `snapshot info`
+// can report per-section compression ratios without decoding.
 //
-// The flow record layout is frozen against core::Flow below; any change to
-// that struct is a format break and must bump kFormatVersion.
+// The reader accepts exactly kFormatVersion: a snapshot is a cache that
+// `lockdown_cli snapshot save` rebuilds, so an older file is rejected rather
+// than translated. The flow record layout is frozen against core::Flow
+// below; any change to that struct is a format break and must bump
+// kFormatVersion.
 #pragma once
 
 #include <array>
@@ -64,13 +61,8 @@ namespace lockdown::store {
 
 inline constexpr std::array<char, 8> kMagic = {'L', 'D', 'S', 'N', 'A', 'P', '0', '1'};
 inline constexpr std::array<char, 8> kTrailerMagic = {'L', 'D', 'S', 'F', 'I', 'N', 'I', '1'};
-// Version 2 widened kStats from 7 to 9 u64 fields (ua_unattributed,
-// ua_visitor_dropped). Version 3 made the section count variable, added the
-// kDayIndex section group and the optional columnar flow sections
-// (kColTimestamps/kColDomains/kColRest), and started recording codec ids in
-// the descriptor flags. Version-1 and version-2 files remain readable.
-inline constexpr std::uint32_t kFormatVersion = 3;
-inline constexpr std::uint32_t kMinReadVersion = 1;
+// The only version this build reads or writes; bump it on any layout change.
+inline constexpr std::uint32_t kFormatVersion = 4;
 /// Written as a u32; reads back as something else on a mixed-endian copy.
 inline constexpr std::uint32_t kEndianMarker = 0x0A0B0C0Du;
 inline constexpr std::uint64_t kSectionAlign = 64;
@@ -80,7 +72,6 @@ inline constexpr std::size_t kSectionDescSize = 32;
 inline constexpr std::size_t kTrailerSize = 16;
 inline constexpr std::size_t kMetaSectionSize = 48;
 inline constexpr std::size_t kStatsSectionSize = 9 * sizeof(std::uint64_t);
-inline constexpr std::size_t kStatsSectionSizeV1 = 7 * sizeof(std::uint64_t);
 
 enum class SectionKind : std::uint32_t {
   kMeta = 1,
@@ -89,19 +80,15 @@ enum class SectionKind : std::uint32_t {
   kStringPool = 4,
   kDevices = 5,
   kStats = 6,
-  // Version 3:
-  kDayIndex = 7,       ///< per-day [begin, len) flow runs, delta-varint
+  // Kind 7 (the version-3 day index) is retired; never reuse it.
   kColTimestamps = 8,  ///< start_offset_s column, zigzag delta-varint
   kColDomains = 9,     ///< domain column, dictionary + varint refs
   kColRest = 10,       ///< remaining flow fields, packed columns
 };
-/// The fixed section count of version 1/2 files (also the mandatory core of
-/// every version-3 file, minus kFlows when the flow columns replace it).
-inline constexpr int kNumSectionsV2 = 6;
 /// Highest section kind this build understands.
 inline constexpr std::uint32_t kMaxSectionKind = 10;
-/// Upper bound on the section count a v3 header may claim (all distinct
-/// kinds at most once).
+/// Upper bound on the section count a header may claim (all distinct kinds
+/// at most once).
 inline constexpr std::uint32_t kMaxSections = kMaxSectionKind;
 
 /// Per-section codec, recorded in the descriptor's flags word. Every coded
@@ -109,7 +96,7 @@ inline constexpr std::uint32_t kMaxSections = kMaxSectionKind;
 /// report compression ratios without decoding.
 enum class SectionCodec : std::uint32_t {
   kRaw = 0,
-  kDeltaVarint = 1,  ///< zigzag delta-varint streams (timestamps, day index)
+  kDeltaVarint = 1,  ///< zigzag delta-varint stream (timestamps)
   kDictionary = 2,   ///< first-appearance dictionary + varint refs (domains)
   kPacked = 3,       ///< per-field packed columns, varint where it pays
 };
@@ -122,7 +109,6 @@ enum class SectionCodec : std::uint32_t {
     case SectionKind::kStringPool: return "string-pool";
     case SectionKind::kDevices: return "devices";
     case SectionKind::kStats: return "stats";
-    case SectionKind::kDayIndex: return "day-index";
     case SectionKind::kColTimestamps: return "col-timestamps";
     case SectionKind::kColDomains: return "col-domains";
     case SectionKind::kColRest: return "col-rest";
@@ -164,9 +150,6 @@ static_assert(offsetof(core::Flow, bytes_down) == 32);
 static_assert(sizeof(core::CollectionStats) == kStatsSectionSize,
               "CollectionStats changed: extend the kStats codec and bump "
               "kFormatVersion");
-static_assert(kStatsSectionSize > kStatsSectionSizeV1,
-              "new CollectionStats fields must be appended so version-1 "
-              "files stay a prefix of the version-2 stats section");
 
 /// Aligns a file offset up to the section alignment.
 [[nodiscard]] constexpr std::uint64_t AlignUp(std::uint64_t offset) noexcept {

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -67,39 +68,21 @@ class Reader::Impl {
            " (corrupt file)";
   }
 
-  void VerifyChecksums() const {
-    OBS_SPAN("store/verify_checksums");
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      if (!SectionChecksumOk(i)) Fail(ChecksumMessage(i));
-    }
-  }
-
   [[nodiscard]] LoadedSnapshot Load(const LoadOptions& options) const {
     OBS_SPAN("store/load");
     LoadedSnapshot out;
     // Mandatory sections fail the load on corruption, naming the section
     // and offset; the stats section is advisory and may be salvaged
-    // (zero-filled), and the day index is derivable and may be salvaged by
-    // rebuilding it from the flows — so months of flow data survive one bad
-    // section.
+    // (zero-filled) — so months of flow data survive one bad section.
     bool stats_salvaged = false;
-    bool day_index_salvaged = false;
-    if (options.verify_checksums) {
-      for (std::size_t i = 0; i < sections_.size(); ++i) {
-        if (SectionChecksumOk(i)) continue;
-        if (options.salvage && KindAt(i) == SectionKind::kStats) {
-          stats_salvaged = true;
-          out.warnings.push_back(ChecksumMessage(i) + ": stats zero-filled");
-          continue;
-        }
-        if (options.salvage && KindAt(i) == SectionKind::kDayIndex) {
-          day_index_salvaged = true;
-          out.warnings.push_back(ChecksumMessage(i) +
-                                 ": day index rebuilt from flows");
-          continue;
-        }
-        Fail(ChecksumMessage(i));
+    for (std::size_t i = 0; i < sections_.size(); ++i) {
+      if (SectionChecksumOk(i)) continue;
+      if (options.salvage && KindAt(i) == SectionKind::kStats) {
+        stats_salvaged = true;
+        out.warnings.push_back(ChecksumMessage(i) + ": stats zero-filled");
+        continue;
       }
+      Fail(ChecksumMessage(i));
     }
 
     out.info = info_;
@@ -207,8 +190,8 @@ class Reader::Impl {
     // Per-flow references must be in range and the array must be in
     // Finalize() order before any analysis indexes by them — a CRC-valid but
     // ill-formed file must fail here, not as UB (or a silently wrong figure)
-    // in a consumer. The query kernels binary-search timestamps per device,
-    // so the sort order is part of the format contract.
+    // in a consumer. The figure fold walks each device's flows in time
+    // order, so the sort order is part of the format contract.
     const std::span<const core::Flow> loaded = ds.flows();
     for (std::size_t i = 0; i < loaded.size(); ++i) {
       const core::Flow& f = loaded[i];
@@ -238,26 +221,6 @@ class Reader::Impl {
       Fail("inconsistent device index section");
     }
 
-    // --- Day-run index -------------------------------------------------------
-    // v3 files persist it; pre-v3 files (and salvaged v3 loads) rebuild it
-    // from the flow order, which is always possible — the section is an
-    // accelerator, never the only source of truth.
-    if (HasSection(SectionKind::kDayIndex) && !day_index_salvaged) {
-      try {
-        ds.RestoreDayRuns(detail::DecodeDayIndex(
-            Section(SectionKind::kDayIndex), info_.num_flows));
-      } catch (const std::exception& e) {
-        if (!options.salvage) {
-          Fail(std::string("corrupt day-index section: ") + e.what());
-        }
-        out.warnings.push_back(path_.string() +
-                               ": undecodable day index: rebuilt from flows");
-        ds.RebuildDayRuns();
-      }
-    } else {
-      ds.RebuildDayRuns();
-    }
-
     // --- Stats ---------------------------------------------------------------
     // Decode errors here are salvageable like a bad checksum: the stats are
     // reporting counters, not data the analyses index into.
@@ -272,10 +235,8 @@ class Reader::Impl {
         st.devices_observed = stats.U64();
         st.devices_retained = stats.U64();
         st.ua_sightings = stats.U64();
-        if (info_.version >= 2) {
-          st.ua_unattributed = stats.U64();
-          st.ua_visitor_dropped = stats.U64();
-        }
+        st.ua_unattributed = stats.U64();
+        st.ua_visitor_dropped = stats.U64();
         stats.ExpectDone();
       } catch (const Error&) {
         if (!options.salvage) throw;
@@ -286,45 +247,6 @@ class Reader::Impl {
     }
 
     return out;
-  }
-
-  /// Deep invariant check beyond checksums: flow ordering and CSR agreement.
-  void VerifyInvariants() const {
-    const LoadedSnapshot snap = Load({LoadMode::kAuto, false});
-    const core::Dataset& ds = snap.collection.dataset;
-    const auto flows = ds.flows();
-    for (std::size_t i = 1; i < flows.size(); ++i) {
-      const bool ordered =
-          flows[i - 1].device < flows[i].device ||
-          (flows[i - 1].device == flows[i].device &&
-           flows[i - 1].start_offset_s <= flows[i].start_offset_s);
-      if (!ordered) Fail("flows not in finalize order");
-    }
-    const auto offsets = ds.device_offsets();
-    for (std::size_t i = 0; i < flows.size(); ++i) {
-      const core::DeviceIndex d = flows[i].device;
-      if (i < offsets[d] || i >= offsets[d + 1]) {
-        Fail("device index disagrees with flow ordering");
-      }
-    }
-    // Full interior check of every day run (RestoreDayRuns only spot-checks
-    // each run's endpoints; a run spanning a device boundary could hide a
-    // day dip in its interior).
-    const core::DayRunIndex& runs = ds.day_runs();
-    std::uint64_t covered = 0;
-    for (int d = 0; d < runs.num_days(); ++d) {
-      bool bad = false;
-      runs.ForEachRun(d, d, [&](std::uint64_t begin, std::uint64_t len) {
-        for (std::uint64_t k = begin; k < begin + len; ++k) {
-          if (core::Dataset::DayOf(flows[static_cast<std::size_t>(k)]) != d) {
-            bad = true;
-          }
-        }
-        covered += len;
-      });
-      if (bad) Fail("day index interior disagrees with flows");
-    }
-    if (covered != flows.size()) Fail("day index does not cover the flow array");
   }
 
  private:
@@ -383,16 +305,14 @@ class Reader::Impl {
     return strings;
   }
 
-  /// The codec each section kind is allowed to carry. v1/v2 writers put 0
-  /// in flags, so raw-everywhere is always acceptable.
+  /// The codec each section kind is allowed to carry: the flow columns are
+  /// always coded, every other section is raw.
   [[nodiscard]] static bool CodecAllowed(SectionKind kind, SectionCodec codec) {
     if (codec == SectionCodec::kRaw) {
-      return kind != SectionKind::kDayIndex &&
-             kind != SectionKind::kColTimestamps &&
+      return kind != SectionKind::kColTimestamps &&
              kind != SectionKind::kColDomains && kind != SectionKind::kColRest;
     }
     switch (kind) {
-      case SectionKind::kDayIndex:
       case SectionKind::kColTimestamps:
         return codec == SectionCodec::kDeltaVarint;
       case SectionKind::kColDomains:
@@ -420,18 +340,16 @@ class Reader::Impl {
     }
     if (hdr.U32() != kEndianMarker) Fail("endianness marker mismatch");
     info_.version = hdr.U32();
-    if (info_.version < kMinReadVersion || info_.version > kFormatVersion) {
+    if (info_.version != kFormatVersion) {
       Fail("unsupported format version " + std::to_string(info_.version) +
-           " (this build reads versions " + std::to_string(kMinReadVersion) +
-           ".." + std::to_string(kFormatVersion) + ")");
+           " (this build reads version " + std::to_string(kFormatVersion) +
+           "; rebuild the snapshot with `lockdown_cli snapshot save`)");
     }
     if (hdr.U32() != kHeaderSize) Fail("bad header size");
-    // v1/v2 files have exactly the six classic sections; from v3 on the
-    // header's count is authoritative (bounded by the known kinds, each at
-    // most once).
+    // The header's count is authoritative, bounded by the known kinds (each
+    // at most once).
     const std::uint32_t section_count = hdr.U32();
-    if (info_.version < 3 ? section_count != kNumSectionsV2
-                          : (section_count < 1 || section_count > kMaxSections)) {
+    if (section_count < 1 || section_count > kMaxSections) {
       Fail("unexpected section count " + std::to_string(section_count));
     }
     const std::uint64_t recorded_size = hdr.U64();
@@ -463,8 +381,6 @@ class Reader::Impl {
     detail::Decoder table(file.subspan(kHeaderSize, table_end - kHeaderSize),
                           "section table");
     kind_slot_.fill(-1);
-    const std::uint32_t max_kind =
-        info_.version < 3 ? kNumSectionsV2 : kMaxSectionKind;
     for (std::uint32_t i = 0; i < section_count; ++i) {
       const std::uint32_t kind = table.U32();
       const std::uint32_t flags = table.U32();
@@ -472,10 +388,11 @@ class Reader::Impl {
       const std::uint64_t size = table.U64();
       const std::uint32_t crc = table.U32();
       (void)table.U32();  // reserved
-      if (kind < 1 || kind > max_kind) {
+      const auto k = static_cast<SectionKind>(kind);
+      if (kind < 1 || kind > kMaxSectionKind ||
+          std::string_view(SectionName(k)) == "unknown") {
         Fail("unknown section kind " + std::to_string(kind));
       }
-      const auto k = static_cast<SectionKind>(kind);
       if (kind_slot_[kind - 1] >= 0) {
         Fail("duplicate " + std::string(SectionName(k)) + " section");
       }
@@ -521,9 +438,6 @@ class Reader::Impl {
                         !HasSection(SectionKind::kColRest))) {
       Fail("incomplete columnar flow storage");
     }
-    if (info_.version >= 3 && !HasSection(SectionKind::kDayIndex)) {
-      Fail("missing day-index section");
-    }
 
     // --- Meta + cross-section size consistency -------------------------------
     const std::span<const std::byte> meta = Section(SectionKind::kMeta);
@@ -548,9 +462,7 @@ class Reader::Impl {
         (info_.num_devices + 1) * sizeof(std::uint64_t)) {
       Fail("device-offsets section size disagrees with device count");
     }
-    const std::size_t want_stats =
-        info_.version >= 2 ? kStatsSectionSize : kStatsSectionSizeV1;
-    if (Section(SectionKind::kStats).size() != want_stats) {
+    if (Section(SectionKind::kStats).size() != kStatsSectionSize) {
       Fail("bad stats section size");
     }
   }
@@ -567,7 +479,6 @@ Reader::Reader(std::filesystem::path path)
 Reader::~Reader() = default;
 
 const SnapshotInfo& Reader::info() const noexcept { return impl_->info(); }
-void Reader::VerifyChecksums() const { impl_->VerifyChecksums(); }
 LoadedSnapshot Reader::Load(const LoadOptions& options) const {
   return impl_->Load(options);
 }
@@ -581,12 +492,19 @@ SnapshotInfo InspectSnapshot(const std::filesystem::path& path) {
   return Reader(path).info();
 }
 
-void Reader::VerifyInvariants() const { impl_->VerifyInvariants(); }
-
 void VerifySnapshot(const std::filesystem::path& path) {
-  const Reader reader(path);
-  reader.VerifyChecksums();
-  reader.VerifyInvariants();
+  // Load CRC-checks every section once and rejects flows out of finalize
+  // order; what remains is the CSR index's agreement with each flow.
+  const LoadedSnapshot snap = LoadSnapshot(path);
+  const core::Dataset& ds = snap.collection.dataset;
+  const auto flows = ds.flows();
+  const auto offsets = ds.device_offsets();
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    const core::DeviceIndex d = flows[i].device;
+    if (i < offsets[d] || i >= offsets[d + 1]) {
+      throw Error(path.string() + ": device index disagrees with flow ordering");
+    }
+  }
 }
 
 }  // namespace lockdown::store

@@ -1,17 +1,20 @@
 // LDS snapshot store: persist a processed core::CollectionResult once, load
-// it many times. See store/format.h for the on-disk layout.
+// it many times. One format version (store/format.h), with the flows stored
+// either raw or, optionally, as compressed columns.
 //
 //   store::SaveSnapshot("campus.lds", result, {.num_students = 1200, .seed = 2020});
 //   ...
 //   store::LoadedSnapshot snap = store::LoadSnapshot("campus.lds");
 //   core::LockdownStudy study(snap.collection.dataset, catalog);
 //
-// Loading memory-maps the file and, on little-endian hosts, hands the fixed
-// stride flow array to the Dataset zero-copy (the mapping stays alive inside
-// the Dataset); variable-length sections (devices, string pool) are decoded
-// portably. Every load validates magic, version, endianness, section bounds
-// and per-section CRC32C checksums and throws store::Error with a precise
-// message on truncation or corruption — never undefined behavior.
+// Loading memory-maps the file and, on little-endian hosts, hands a raw
+// fixed-stride flow array to the Dataset zero-copy (the mapping stays alive
+// inside the Dataset); compressed flow columns and the variable-length
+// sections (devices, string pool) are decoded portably. Every load validates
+// magic, version, endianness, section bounds and per-section CRC32C
+// checksums and throws store::Error with a precise message on truncation or
+// corruption — never undefined behavior. A file of another format version is
+// rejected with a hint to rebuild it with `lockdown_cli snapshot save`.
 #pragma once
 
 #include <cstdint>
@@ -47,9 +50,6 @@ enum class LoadMode {
 
 struct LoadOptions {
   LoadMode mode = LoadMode::kAuto;
-  /// CRC32C-check every section before decoding. Leave on except when the
-  /// file was verified out-of-band and load latency matters.
-  bool verify_checksums = true;
   /// Per-section salvage: a corrupt *optional* section (currently kStats)
   /// degrades to zero-fill with a note in LoadedSnapshot::warnings instead
   /// of failing the load. Corrupt mandatory sections still throw Error,
@@ -57,15 +57,10 @@ struct LoadOptions {
   bool salvage = false;
 };
 
-/// How a snapshot should be written. Defaults produce the current format;
-/// `format_version = 2` reproduces the previous layout byte-for-byte (the
-/// differential suite reads figures off all three).
+/// How a snapshot should be written.
 struct SaveOptions {
-  /// 2 or 3. Version 2 is the fixed six-section layout; version 3 adds the
-  /// day index and may compress.
-  std::uint32_t format_version = 3;
   /// Store flows as dictionary/delta-varint coded columns instead of the
-  /// raw (zero-copy eligible) record array. Requires format_version >= 3.
+  /// raw (zero-copy eligible) record array.
   bool compress = false;
 };
 
@@ -132,8 +127,8 @@ class Writer {
 
 /// Validating snapshot reader over a memory-mapped file. Construction
 /// validates the header, trailer and section table (magic, version,
-/// endianness, bounds, alignment, table CRC); Load()/VerifyChecksums()
-/// additionally CRC-check section payloads.
+/// endianness, bounds, alignment, table CRC); Load() additionally
+/// CRC-checks section payloads.
 class Reader {
  public:
   explicit Reader(std::filesystem::path path);
@@ -142,11 +137,6 @@ class Reader {
   Reader& operator=(const Reader&) = delete;
 
   [[nodiscard]] const SnapshotInfo& info() const noexcept;
-  /// CRC32C-checks every section payload; throws Error on any mismatch.
-  void VerifyChecksums() const;
-  /// Full decode plus deep invariants (flow ordering, CSR agreement) that
-  /// analyses silently depend on; throws Error on the first violation.
-  void VerifyInvariants() const;
   /// Full decode into a CollectionResult. May be called multiple times.
   [[nodiscard]] LoadedSnapshot Load(const LoadOptions& options = {}) const;
 
@@ -170,8 +160,9 @@ void SaveSnapshot(const std::filesystem::path& path,
 /// Header/section-table metadata only (no payload CRC pass, no decode).
 [[nodiscard]] SnapshotInfo InspectSnapshot(const std::filesystem::path& path);
 
-/// Full integrity check: structure, checksums, and a complete decode.
-/// Throws Error describing the first problem found.
+/// Full integrity check: structure, checksums, a complete decode (which
+/// checks the flow order), and the CSR device index against every flow's
+/// device. Throws Error describing the first problem found.
 void VerifySnapshot(const std::filesystem::path& path);
 
 /// Tmp files a crashed writer left next to `target` (the naming scheme is

@@ -1,5 +1,5 @@
 // Figures 1-8 (plus extension analyses and headline stats) are bit-identical
-// across {1, 4} threads x {v2, v3, v3-compressed} snapshot formats — six
+// across {1, 4} threads x {raw, compressed} snapshots — four
 // configurations, one canonical %.17g rendering each, all compared
 // byte-for-byte against the serial baseline computed straight from the
 // pipeline. Not "close": identical.
@@ -35,12 +35,9 @@ class FiguresDifferentialTest : public ::testing::Test {
     std::filesystem::create_directories(*dir_);
     collection_ = new CollectionResult(
         MeasurementPipeline::Collect(StudyConfig::Small(kStudents, kSeed)));
-    store::SaveSnapshot(*dir_ / "v2.lds", *collection_, {},
-                        {.format_version = 2});
-    store::SaveSnapshot(*dir_ / "v3.lds", *collection_, {},
-                        {.format_version = 3});
-    store::SaveSnapshot(*dir_ / "v3c.lds", *collection_, {},
-                        {.format_version = 3, .compress = true});
+    store::SaveSnapshot(*dir_ / "raw.lds", *collection_);
+    store::SaveSnapshot(*dir_ / "comp.lds", *collection_, {},
+                        {.compress = true});
     // The baseline every configuration must reproduce byte-for-byte:
     // serial, straight from the pipeline.
     baseline_ = new std::string(Render(*collection_, 1));
@@ -86,9 +83,9 @@ std::filesystem::path* FiguresDifferentialTest::dir_ = nullptr;
 CollectionResult* FiguresDifferentialTest::collection_ = nullptr;
 std::string* FiguresDifferentialTest::baseline_ = nullptr;
 
-TEST_F(FiguresDifferentialTest, AllSixConfigurationsBitIdentical) {
+TEST_F(FiguresDifferentialTest, AllFourConfigurationsBitIdentical) {
   int cells = 0;
-  for (const char* file : {"v2.lds", "v3.lds", "v3c.lds"}) {
+  for (const char* file : {"raw.lds", "comp.lds"}) {
     const store::LoadedSnapshot snap = store::LoadSnapshot(*dir_ / file);
     ASSERT_TRUE(snap.warnings.empty()) << file;
     for (const int threads : {1, 4}) {
@@ -98,7 +95,7 @@ TEST_F(FiguresDifferentialTest, AllSixConfigurationsBitIdentical) {
       ++cells;
     }
   }
-  EXPECT_EQ(cells, 6);
+  EXPECT_EQ(cells, 4);
 }
 
 TEST_F(FiguresDifferentialTest, PipelineCollectionMatchesAcrossThreads) {

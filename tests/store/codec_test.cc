@@ -4,7 +4,8 @@
 // never crash or read out of bounds; the ASan tier is the real judge), a
 // byte-sweep over every compressed section of a real snapshot proving the
 // reader rejects or salvages but never silently misreads, and format-matrix
-// round trips (v2, v3, v3-compressed all reload to the identical dataset).
+// round trips (raw and compressed snapshots both reload to the identical
+// dataset).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -239,10 +240,8 @@ class CompressedSnapshotTest : public ::testing::Test {
     std::filesystem::create_directories(*dir_);
     result_ = new core::CollectionResult(core::MeasurementPipeline::Collect(
         core::StudyConfig::Small(4, 1)));
-    SaveSnapshot(*dir_ / "v2.lds", *result_, {}, {.format_version = 2});
-    SaveSnapshot(*dir_ / "v3.lds", *result_, {}, {.format_version = 3});
-    SaveSnapshot(*dir_ / "v3c.lds", *result_, {},
-                 {.format_version = 3, .compress = true});
+    SaveSnapshot(*dir_ / "raw.lds", *result_);
+    SaveSnapshot(*dir_ / "comp.lds", *result_, {}, {.compress = true});
   }
   static void TearDownTestSuite() {
     std::filesystem::remove_all(*dir_);
@@ -259,10 +258,6 @@ class CompressedSnapshotTest : public ::testing::Test {
     const auto fa = a.flows();
     const auto fb = b.flows();
     ASSERT_EQ(0, std::memcmp(fa.data(), fb.data(), fa.size() * sizeof(Flow)));
-    ASSERT_TRUE(b.has_day_runs());
-    ASSERT_EQ(a.day_runs().day_offsets, b.day_runs().day_offsets);
-    ASSERT_EQ(a.day_runs().run_begin, b.day_runs().run_begin);
-    ASSERT_EQ(a.day_runs().run_len, b.day_runs().run_len);
   }
 
   static std::filesystem::path* dir_;
@@ -273,7 +268,7 @@ std::filesystem::path* CompressedSnapshotTest::dir_ = nullptr;
 core::CollectionResult* CompressedSnapshotTest::result_ = nullptr;
 
 TEST_F(CompressedSnapshotTest, AllFormatsReloadTheIdenticalDataset) {
-  for (const char* file : {"v2.lds", "v3.lds", "v3c.lds"}) {
+  for (const char* file : {"raw.lds", "comp.lds"}) {
     const LoadedSnapshot snap = LoadSnapshot(*dir_ / file);
     EXPECT_TRUE(snap.warnings.empty()) << file;
     ExpectSameDataset(result_->dataset, snap.collection.dataset);
@@ -281,8 +276,8 @@ TEST_F(CompressedSnapshotTest, AllFormatsReloadTheIdenticalDataset) {
 }
 
 TEST_F(CompressedSnapshotTest, CompressedFileIsSmallerAndDescribesCodecs) {
-  const SnapshotInfo raw = InspectSnapshot(*dir_ / "v3.lds");
-  const SnapshotInfo comp = InspectSnapshot(*dir_ / "v3c.lds");
+  const SnapshotInfo raw = InspectSnapshot(*dir_ / "raw.lds");
+  const SnapshotInfo comp = InspectSnapshot(*dir_ / "comp.lds");
   EXPECT_LT(comp.file_size, raw.file_size);
   int coded = 0;
   for (const SectionInfo& s : comp.sections) {
@@ -291,7 +286,7 @@ TEST_F(CompressedSnapshotTest, CompressedFileIsSmallerAndDescribesCodecs) {
       EXPECT_LT(s.size, s.raw_size) << s.name;
     }
   }
-  EXPECT_EQ(coded, 4);  // day-index + three flow columns
+  EXPECT_EQ(coded, 3);  // the three flow columns
 }
 
 /// The salvage_test byte-sweep discipline applied to the compressed file:
@@ -299,7 +294,7 @@ TEST_F(CompressedSnapshotTest, CompressedFileIsSmallerAndDescribesCodecs) {
 /// load must succeed with the identical flow table, salvage with a warning,
 /// or throw — a flip that silently changes decoded flows would be a CRC hole.
 TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
-  const auto path = *dir_ / "v3c.lds";
+  const auto path = *dir_ / "comp.lds";
   std::ifstream in(path, std::ios::binary);
   const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                                 std::istreambuf_iterator<char>());
@@ -343,31 +338,6 @@ TEST_F(CompressedSnapshotTest, CompressedByteSweepNeverMisreads) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_GT(intact + salvaged + rejected, 0);
-}
-
-TEST_F(CompressedSnapshotTest, CorruptDayIndexSalvagesByRebuild) {
-  const auto path = *dir_ / "v3.lds";
-  SectionInfo day_index;
-  for (const SectionInfo& s : InspectSnapshot(path).sections) {
-    if (s.name == "day-index") day_index = s;
-  }
-  ASSERT_GT(day_index.size, 0u);
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  bytes[day_index.offset + day_index.size / 2] ^= 0x40;
-  const auto bad = *dir_ / "bad_day_index.lds";
-  std::ofstream out(bad, std::ios::binary);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.close();
-
-  EXPECT_THROW((void)LoadSnapshot(bad), Error);
-  const LoadedSnapshot snap = LoadSnapshot(bad, {.salvage = true});
-  ASSERT_EQ(snap.warnings.size(), 1u);
-  EXPECT_NE(snap.warnings[0].find("day index"), std::string::npos)
-      << snap.warnings[0];
-  // The rebuilt index must equal the one Finalize computed.
-  ExpectSameDataset(result_->dataset, snap.collection.dataset);
 }
 
 }  // namespace

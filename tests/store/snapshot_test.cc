@@ -14,6 +14,7 @@
 
 #include "core/study.h"
 #include "store/format.h"
+#include "util/crc32c.h"
 
 namespace lockdown::store {
 namespace {
@@ -58,6 +59,16 @@ void PatchByte(const fs::path& path, std::uint64_t offset, std::uint8_t value) {
   ASSERT_TRUE(f.is_open());
   f.seekp(static_cast<std::streamoff>(offset));
   f.write(reinterpret_cast<const char*>(&value), 1);
+}
+
+/// Flips the 0x20 bit of the byte at `offset`.
+void FlipByte(const fs::path& path, std::uint64_t offset) {
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(offset));
+  char original = 0;
+  in.read(&original, 1);
+  in.close();
+  PatchByte(path, offset, static_cast<std::uint8_t>(original) ^ 0x20);
 }
 
 void ExpectLoadError(const fs::path& path, const std::string& message_part) {
@@ -115,6 +126,8 @@ void ExpectStatsEqual(const core::CollectionStats& a,
   EXPECT_EQ(a.devices_observed, b.devices_observed);
   EXPECT_EQ(a.devices_retained, b.devices_retained);
   EXPECT_EQ(a.ua_sightings, b.ua_sightings);
+  EXPECT_EQ(a.ua_unattributed, b.ua_unattributed);
+  EXPECT_EQ(a.ua_visitor_dropped, b.ua_visitor_dropped);
 }
 
 // --- Round-trip properties ----------------------------------------------------
@@ -130,9 +143,9 @@ TEST(SnapshotRoundTrip, PreservesDatasetAndStats) {
 
 TEST(SnapshotRoundTrip, ZeroCopyAndPortablePathsAgree) {
   const LoadedSnapshot mmaped =
-      LoadSnapshot(Campus().file, {LoadMode::kMmap, true});
+      LoadSnapshot(Campus().file, {LoadMode::kMmap});
   const LoadedSnapshot copied =
-      LoadSnapshot(Campus().file, {LoadMode::kCopy, true});
+      LoadSnapshot(Campus().file, {LoadMode::kCopy});
   EXPECT_TRUE(mmaped.zero_copy);
   EXPECT_TRUE(mmaped.collection.dataset.flows_borrowed());
   EXPECT_FALSE(copied.zero_copy);
@@ -256,6 +269,53 @@ TEST(SnapshotCorruption, UnsupportedVersionRejected) {
   fs::remove(p);
 }
 
+TEST(SnapshotCorruption, OlderVersionsRejectedWithRebuildHint) {
+  // Snapshots are rebuildable caches: every entry point refuses an older
+  // file outright, naming its version and the command that rebuilds it.
+  for (const std::uint8_t version : {1, 2, 3}) {
+    const fs::path p = ScratchCopy("old_v" + std::to_string(version) + ".lds");
+    PatchByte(p, 12, version);
+    const std::string want = "unsupported format version " + std::to_string(version);
+    const auto expect_rejected = [&](const char* entry, const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << entry << " accepted a version-" << int{version} << " file";
+      } catch (const Error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(want), std::string::npos) << entry << ": " << what;
+        EXPECT_NE(what.find("snapshot save"), std::string::npos)
+            << entry << ": " << what;
+      }
+    };
+    expect_rejected("LoadSnapshot", [&] { (void)LoadSnapshot(p); });
+    expect_rejected("InspectSnapshot", [&] { (void)InspectSnapshot(p); });
+    expect_rejected("VerifySnapshot", [&] { VerifySnapshot(p); });
+    fs::remove(p);
+  }
+}
+
+TEST(SnapshotCorruption, RetiredSectionKindRejected) {
+  // Kind 7 held version 3's day index. A table naming it is malformed even
+  // when the trailer's table checksum agrees, so re-seal the table after
+  // renaming the stats section to kind 7.
+  const SnapshotInfo info = InspectSnapshot(Campus().file);
+  const fs::path p = ScratchCopy("kind7.lds");
+  std::ifstream in(p, std::ios::binary);
+  std::string bytes((std::istreambuf_iterator<char>(in)), {});
+  in.close();
+  for (std::size_t i = 0; i < info.sections.size(); ++i) {
+    if (info.sections[i].name == "stats") bytes[kHeaderSize + i * kSectionDescSize] = 7;
+  }
+  const std::size_t table_end = kHeaderSize + info.sections.size() * kSectionDescSize;
+  std::uint32_t crc = util::Crc32c(std::as_bytes(std::span(bytes.data(), table_end)));
+  for (std::size_t b = 0; b < 4; ++b, crc >>= 8) {
+    bytes[bytes.size() - kTrailerSize + 8 + b] = static_cast<char>(crc & 0xFF);
+  }
+  std::ofstream(p, std::ios::binary | std::ios::trunc) << bytes;
+  ExpectLoadError(p, "unknown section kind 7");
+  fs::remove(p);
+}
+
 TEST(SnapshotCorruption, TruncationRejectedAtEveryBoundary) {
   const std::uintmax_t full = fs::file_size(Campus().file);
   for (const std::uintmax_t size :
@@ -269,17 +329,11 @@ TEST(SnapshotCorruption, TruncationRejectedAtEveryBoundary) {
 
 TEST(SnapshotCorruption, FlippedByteInEverySectionRejected) {
   const SnapshotInfo info = InspectSnapshot(Campus().file);
-  ASSERT_EQ(info.sections.size(), 7u);  // six classic sections + day-index
+  ASSERT_EQ(info.sections.size(), 6u);  // five fixed sections + raw flows
   for (const SectionInfo& section : info.sections) {
     if (section.size == 0) continue;
     const fs::path p = ScratchCopy("flip_" + section.name + ".lds");
-    const std::uint64_t target = section.offset + section.size / 2;
-    std::ifstream in(p, std::ios::binary);
-    in.seekg(static_cast<std::streamoff>(target));
-    char original = 0;
-    in.read(&original, 1);
-    in.close();
-    PatchByte(p, target, static_cast<std::uint8_t>(original) ^ 0x20);
+    FlipByte(p, section.offset + section.size / 2);
     if (section.name == "meta") {
       // A flip inside meta may hit a structurally validated field (e.g. the
       // flow stride) and be rejected before checksumming — either way it
@@ -303,6 +357,25 @@ TEST(SnapshotCorruption, HeaderTableTamperRejected) {
 
 TEST(SnapshotCorruption, VerifySnapshotAcceptsCleanFile) {
   EXPECT_NO_THROW(VerifySnapshot(Campus().file));
+}
+
+TEST(SnapshotCorruption, VerifySnapshotRejectsFlippedFlowByte) {
+  SectionInfo flows;
+  for (const SectionInfo& s : InspectSnapshot(Campus().file).sections) {
+    if (s.name == "flows") flows = s;
+  }
+  ASSERT_GT(flows.size, 0u);
+  const fs::path p = ScratchCopy("verify_flip.lds");
+  FlipByte(p, flows.offset + flows.size / 2);
+  try {
+    VerifySnapshot(p);
+    ADD_FAILURE() << "VerifySnapshot accepted a flipped flow byte";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("checksum mismatch in flows"),
+              std::string::npos)
+        << e.what();
+  }
+  fs::remove(p);
 }
 
 TEST(SnapshotInspect, ReportsSectionsAndCounts) {

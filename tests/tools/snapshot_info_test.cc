@@ -40,7 +40,7 @@ class SnapshotInfoTest : public ::testing::Test {
     const auto result =
         core::MeasurementPipeline::Collect(core::StudyConfig::Small(4, 1));
     store::SaveSnapshot(*dir_ / "plain.lds", result,
-                        {.num_students = 4, .seed = 1}, {.format_version = 2});
+                        {.num_students = 4, .seed = 1});
     store::SaveSnapshot(*dir_ / "comp.lds", result, {.num_students = 4, .seed = 1},
                         {.compress = true});
   }
@@ -95,7 +95,7 @@ TEST_F(SnapshotInfoTest, SectionTableHasOneRowPerSectionWithRatios) {
   EXPECT_NE(text.find("0."), std::string::npos);  // at least one ratio < 1
 }
 
-TEST_F(SnapshotInfoTest, V2SnapshotIsAllRaw) {
+TEST_F(SnapshotInfoTest, PlainSnapshotIsAllRaw) {
   const store::SnapshotInfo info = store::InspectSnapshot(*dir_ / "plain.lds");
   std::ostringstream out;
   RenderSectionTable(info, out);

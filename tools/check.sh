@@ -11,11 +11,13 @@
 # of its policies (exact for LockdownStudy, sketched for StreamingStudy).
 #
 # A fourth, CLI-level fault tier exercises the ingest robustness surface
-# end-to-end: it exports a small campus, corrupts the snapshot and the TSV
-# logs with the deterministic FaultInjector (seeds {1,2,3} x rates
-# {0.1%, 1%}), and asserts tolerant ingest completes (exit 0) where strict
-# ingest fails with the documented exit codes (3 = over error budget,
-# 4 = corrupt snapshot without fallback).
+# end-to-end: it exports a small campus, corrupts the snapshot, stamps a copy
+# of it with the older format version 3 (which the reader refuses, naming
+# `snapshot save`), and corrupts the TSV logs with the deterministic
+# FaultInjector (seeds {1,2,3} x rates {0.1%, 1%}). It asserts tolerant
+# ingest completes (exit 0, falling back to the TSV logs where the snapshot
+# is unreadable) where strict ingest fails with the documented exit codes
+# (3 = over error budget, 4 = corrupt or stale snapshot without fallback).
 #
 # The stream tier runs the streaming-vs-batch differential convergence suite
 # (tests/stream) under ASan+UBSan — including its FaultInjector leg, which
@@ -168,6 +170,25 @@ if [[ "${mode}" == "all" || "${mode}" == "--fault-only" ]]; then
   expect_exit 0 "${cli}" analyze --logs "${work}/badsnap" --students 60 --seed 11 \
     --ingest-mode tolerant
   rm "${work}/badsnap/dataset.lds"
+
+  echo "=== fault: stale snapshot (version 3) -> tolerant falls back, strict exits 4 ==="
+  cp -r "${work}/clean" "${work}/stalesnap"
+  # The format version is the u32 after the 8-byte magic and the 4-byte
+  # endian marker; the reader accepts only the current one.
+  printf '\x03' | dd of="${work}/stalesnap/dataset.lds" bs=1 seek=12 \
+    conv=notrunc status=none
+  got=0
+  "${cli}" analyze --logs "${work}/stalesnap" --students 60 --seed 11 \
+    >/dev/null 2>"${work}/stale.err" || got=$?
+  if [[ "${got}" != 4 ]] ||
+    ! grep -q "unsupported format version 3.*snapshot save" "${work}/stale.err"; then
+    echo "FAIL: strict analyze of a stale snapshot: exit ${got}, stderr:" >&2
+    cat "${work}/stale.err" >&2
+    exit 1
+  fi
+  expect_exit 0 "${cli}" analyze --logs "${work}/stalesnap" --students 60 --seed 11 \
+    --ingest-mode tolerant
+  rm "${work}/stalesnap/dataset.lds"
   rm "${work}/clean/dataset.lds"
 
   echo "=== fault: dirty TSV logs, seeds {1,2,3} x rates {0.001,0.01} ==="

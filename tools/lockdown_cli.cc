@@ -74,7 +74,6 @@
 #include "io/io.h"
 #include "obs/obs.h"
 #include "snapshot_info.h"
-#include "store/format.h"
 #include "store/snapshot.h"
 #include "stream/streaming_study.h"
 #include "usage.h"
@@ -363,21 +362,6 @@ int RunAnalyze(const Options& opts) {
       for (const std::string& w : snap.warnings) {
         std::cerr << "salvage: " << w << "\n";
       }
-      // The day-run index (LDS v3, rebuilt on older files) makes day-windowed
-      // scans touch only their runs; surface its shape so users see what the
-      // figure queries iterate.
-      const core::Dataset& ds = snap.collection.dataset;
-      if (ds.has_day_runs()) {
-        const core::DayRunIndex& runs = ds.day_runs();
-        int active_days = 0;
-        for (int d = 0; d < runs.num_days(); ++d) {
-          active_days +=
-              runs.day_offsets[static_cast<std::size_t>(d)] !=
-              runs.day_offsets[static_cast<std::size_t>(d) + 1];
-        }
-        std::cout << "day index: " << runs.num_runs() << " device-day runs over "
-                  << active_days << " active days\n";
-      }
       PrintHeadline(snap.collection, opts.threads);
       return kExitOk;
     } catch (const store::Error& e) {
@@ -386,14 +370,14 @@ int RunAnalyze(const Options& opts) {
       const bool tsv_available = std::filesystem::exists(
           std::filesystem::path(opts.dir) / core::LogFiles::kConn);
       if (!tolerant || !tsv_available) {
-        std::cerr << "error: corrupt snapshot: " << e.what() << "\n";
+        std::cerr << "error: unreadable snapshot: " << e.what() << "\n";
         if (!tolerant && tsv_available) {
           std::cerr << "hint: rerun with --ingest-mode tolerant to fall back "
                        "to the TSV logs\n";
         }
         return kExitCorruptSnapshot;
       }
-      std::cerr << "salvage: corrupt snapshot (" << e.what()
+      std::cerr << "salvage: unreadable snapshot (" << e.what()
                 << "): falling back to the TSV logs\n";
     }
   }
@@ -482,9 +466,7 @@ int RunSnapshotSave(const Options& opts) {
     meta.seed = opts.seed;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  store::SaveSnapshot(opts.out, collection, meta,
-                      {.format_version = store::kFormatVersion,
-                       .compress = opts.compress});
+  store::SaveSnapshot(opts.out, collection, meta, {.compress = opts.compress});
   std::cout << "wrote " << opts.out << (opts.compress ? " (compressed)" : "")
             << "  ("
             << std::filesystem::file_size(opts.out) / 1024 << " KiB, "
