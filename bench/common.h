@@ -11,8 +11,9 @@
 // Machine-readable results: when LOCKDOWN_BENCH_JSON=<file> is set, every
 // bench::Metric() call is collected and the process writes one JSON document
 // to <file> at exit ({bench, config, metrics:[{name, value, unit}]}).
-// tools/check.sh uses this to regenerate BENCH_baseline.json; the human
-// tables on stdout are unaffected.
+// bench/stream_vs_batch writes BENCH_baseline.json this way (by hand) and the
+// check.sh obs tier BENCH_components.json; the human tables on stdout are
+// unaffected.
 #pragma once
 
 #include <charconv>

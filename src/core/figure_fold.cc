@@ -226,6 +226,20 @@ std::size_t FoldTotals::MemoryBytes() const noexcept {
   return bytes;
 }
 
+// Dense per-domain scratch of one fold chunk, reused by its devices.
+struct FigureFold::ChunkScratch {
+  static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
+  explicit ChunkScratch(std::size_t num_domains)
+      : site_seen(num_domains, 0), domain_slot(num_domains, kNoSlot) {}
+
+  /// Per domain, the last (device, period) ticket that counted it as a site.
+  std::vector<std::uint64_t> site_seen;
+  /// Per domain, its entry in the current device's domain_adds, or kNoSlot.
+  /// FoldDevice resets the entries it set before it returns.
+  std::vector<std::uint32_t> domain_slot;
+};
+
 FigureFold::FigureFold(const StudyContext& ctx, util::ThreadPool& pool,
                        std::unique_ptr<FoldPolicy> policy)
     : ctx_(ctx), policy_(std::move(policy)) {
@@ -237,13 +251,12 @@ FigureFold::FigureFold(const StudyContext& ctx, util::ThreadPool& pool,
                                  std::size_t end) {
     FoldTotals local;
     auto* const diurnal = policy_->DiurnalGrid(chunk);
-    // Per domain, the last (device, period) ticket that counted it as a site.
-    std::vector<std::uint64_t> site_seen(ds.num_domains(), 0);
+    ChunkScratch scratch(ds.num_domains());
     for (std::size_t dev = begin; dev < end; ++dev) {
       const auto di = static_cast<DeviceIndex>(dev);
       if (ds.FlowsOfDevice(di).empty()) continue;
       DeviceFold out;
-      FoldDevice(di, out, local, diurnal, site_seen);
+      FoldDevice(di, out, local, diurnal, scratch);
       policy_->AddDevice(chunk, di, out);
     }
     const util::MutexLock lock(mutex_);
@@ -259,8 +272,7 @@ std::unique_ptr<FigureFold> FigureFold::Exact(const StudyContext& ctx,
 }
 
 void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
-                            double* diurnal,
-                            std::vector<std::uint64_t>& site_seen) const {
+                            double* diurnal, ChunkScratch& scratch) const {
   const auto flows = ctx_.dataset().FlowsOfDevice(dev);
   const CalendarDays& cal = Cal();
   const bool post = ctx_.IsPostShutdown(dev);
@@ -333,16 +345,18 @@ void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
                                                    : -1;
       const std::uint64_t ticket =
           ((std::uint64_t{dev} << 2) | static_cast<std::uint64_t>(period + 1));
-      if (period >= 0 && site_seen[f.domain] != ticket) {
-        site_seen[f.domain] = ticket;
+      if (period >= 0 && scratch.site_seen[f.domain] != ticket) {
+        scratch.site_seen[f.domain] = ticket;
         out.site_keys.emplace_back(static_cast<std::uint8_t>(period),
                                    (std::uint64_t{dev} << 32) | f.domain);
       }
     }
-    if (!out.domain_adds.empty() && out.domain_adds.back().first == f.domain) {
-      out.domain_adds.back().second += bytes;
-    } else {
+    std::uint32_t& slot = scratch.domain_slot[f.domain];
+    if (slot == ChunkScratch::kNoSlot) {
+      slot = static_cast<std::uint32_t>(out.domain_adds.size());
       out.domain_adds.emplace_back(f.domain, bytes);
+    } else {
+      out.domain_adds[slot].second += bytes;
     }
     const int m = cal.MonthOf(day);
     if (m < 0) continue;
@@ -359,6 +373,10 @@ void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
       if (flags.fb_family) fb_intervals[mi].push_back(iv);
       if (flags.tiktok) tiktok_intervals[mi].push_back(iv);
     }
+  }
+
+  for (const auto& add : out.domain_adds) {
+    scratch.domain_slot[add.first] = ChunkScratch::kNoSlot;
   }
 
   const auto offer = [&out](ValueFamily family, std::size_t index, double v) {

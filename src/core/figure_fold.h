@@ -54,7 +54,8 @@ struct DeviceFold {
   /// Headline distinct sites of a post-shutdown device: (period 0 Feb /
   /// 1 Apr / 2 May, device << 32 | domain), each pair once.
   std::vector<std::pair<std::uint8_t, std::uint64_t>> site_keys;
-  /// (domain, bytes) for every flow with a domain, adjacent repeats merged.
+  /// (domain, bytes): one entry per distinct domain the device reached, its
+  /// bytes summed over all of the device's flows to it, in first-flow order.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> domain_adds;
 };
 
@@ -162,8 +163,9 @@ class FigureFold {
  private:
   [[nodiscard]] static analysis::DailySeries SeriesOf(
       const std::vector<std::uint64_t>& daily);
+  struct ChunkScratch;
   void FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& totals,
-                  double* diurnal, std::vector<std::uint64_t>& site_seen) const;
+                  double* diurnal, ChunkScratch& scratch) const;
   [[nodiscard]] double Median(ValueFamily family, std::size_t index) const;
   [[nodiscard]] analysis::BoxStats Box(ValueFamily family, std::size_t index) const;
 

@@ -32,19 +32,27 @@ CountMinSketch CountMinSketch::FromErrorBound(double epsilon, double delta,
   return CountMinSketch(width, std::max<std::size_t>(depth, 1), seed, stream);
 }
 
-void CountMinSketch::Add(std::uint64_t key, std::uint64_t count) noexcept {
-  for (std::size_t row = 0; row < depth_; ++row) {
-    const std::size_t col = util::SipHash24(row_keys_[row], key) % width_;
-    cells_[row * width_ + col] += count;
-  }
+void CountMinSketch::Add(std::uint64_t key, std::uint64_t count) {
+  std::vector<std::size_t> cells(depth_);
+  Cells(key, cells);
+  AddCells(cells, count);
+}
+
+void CountMinSketch::Cells(std::uint64_t key,
+                           std::span<std::size_t> cells) const noexcept {
+  for (std::size_t row = 0; row < depth_; ++row) cells[row] = CellOf(row, key);
+}
+
+void CountMinSketch::AddCells(std::span<const std::size_t> cells,
+                              std::uint64_t count) noexcept {
+  for (const std::size_t cell : cells) cells_[cell] += count;
   total_ += count;
 }
 
 std::uint64_t CountMinSketch::Estimate(std::uint64_t key) const noexcept {
   std::uint64_t best = std::numeric_limits<std::uint64_t>::max();
   for (std::size_t row = 0; row < depth_; ++row) {
-    const std::size_t col = util::SipHash24(row_keys_[row], key) % width_;
-    best = std::min(best, cells_[row * width_ + col]);
+    best = std::min(best, cells_[CellOf(row, key)]);
   }
   return best;
 }

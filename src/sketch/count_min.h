@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "sketch/sketch.h"
@@ -32,7 +33,15 @@ class CountMinSketch {
                                                      std::uint64_t seed,
                                                      std::uint64_t stream = 0);
 
-  void Add(std::uint64_t key, std::uint64_t count) noexcept;
+  void Add(std::uint64_t key, std::uint64_t count);
+
+  /// Writes the key's cell in each row, row by row, to `cells` (depth()
+  /// entries). It reads only the row keys, so a caller sharing the sketch
+  /// across threads can hash without its lock.
+  void Cells(std::uint64_t key, std::span<std::size_t> cells) const noexcept;
+
+  /// Adds `count` at a key's Cells().
+  void AddCells(std::span<const std::size_t> cells, std::uint64_t count) noexcept;
 
   /// Point query: min over rows. Never less than the true count; at most
   /// true + epsilon() * total() with probability >= 1 - delta().
@@ -61,6 +70,11 @@ class CountMinSketch {
   [[nodiscard]] double FillRatio() const noexcept;
 
  private:
+  /// Index into cells_ of the key's column in `row`.
+  [[nodiscard]] std::size_t CellOf(std::size_t row, std::uint64_t key) const noexcept {
+    return row * width_ + util::SipHash24(row_keys_[row], key) % width_;
+  }
+
   std::size_t width_;
   std::size_t depth_;
   std::uint64_t seed_;

@@ -1,5 +1,6 @@
 #include "sketch/hll.h"
 
+#include <array>
 #include <bit>
 #include <cmath>
 
@@ -17,6 +18,20 @@ double AlphaM(std::size_t m) noexcept {
   }
 }
 
+// 2^-r for every register rank r. Each entry is an exact power of two, so a
+// sum over the table is bit-identical to one over std::ldexp(1.0, -r).
+constexpr std::array<double, 64> kInversePow2 = [] {
+  std::array<double, 64> table{};
+  double v = 1.0;
+  for (double& entry : table) {
+    entry = v;
+    v /= 2.0;
+  }
+  return table;
+}();
+// The highest rank a register can hold is 64 - p + 1, at the lowest p.
+static_assert(kInversePow2.size() > 64 - HyperLogLog::kMinPrecision + 1);
+
 }  // namespace
 
 HyperLogLog::HyperLogLog(int precision, util::SipHashKey key)
@@ -32,8 +47,7 @@ HyperLogLog HyperLogLog::Seeded(int precision, std::uint64_t seed,
   return HyperLogLog(precision, DeriveKey(seed, stream));
 }
 
-void HyperLogLog::Add(std::uint64_t item) noexcept {
-  const std::uint64_t h = util::SipHash24(key_, item);
+void HyperLogLog::AddHash(std::uint64_t h) noexcept {
   const std::size_t index = static_cast<std::size_t>(h >> (64 - precision_));
   // Rank of the first set bit in the remaining 64-p bits, 1-based; an
   // all-zero remainder ranks 64-p+1.
@@ -50,7 +64,7 @@ double HyperLogLog::Estimate() const noexcept {
   double inverse_sum = 0.0;
   std::size_t zeros = 0;
   for (const std::uint8_t reg : registers_) {
-    inverse_sum += std::ldexp(1.0, -static_cast<int>(reg));
+    inverse_sum += kInversePow2[reg];
     zeros += reg == 0;
   }
   const double raw = AlphaM(registers_.size()) * m * m / inverse_sum;

@@ -35,10 +35,19 @@ class HyperLogLog {
 
   /// Adds one item (callers hash identity into 64 bits; equal values are the
   /// same item).
-  void Add(std::uint64_t item) noexcept;
+  void Add(std::uint64_t item) noexcept { AddHash(Hash(item)); }
+
+  /// The item's hash under this sketch's key. It reads only the key, so a
+  /// caller sharing the sketch across threads can hash without its lock.
+  [[nodiscard]] std::uint64_t Hash(std::uint64_t item) const noexcept {
+    return util::SipHash24(key_, item);
+  }
+
+  /// Adds an item by its Hash(): one register max.
+  void AddHash(std::uint64_t hash) noexcept;
 
   /// Cardinality estimate with the standard small-range (linear counting)
-  /// correction.
+  /// correction. Sums 2^-register over the registers in index order.
   [[nodiscard]] double Estimate() const noexcept;
 
   /// Register-wise max. Throws MergeError unless precision and key match.

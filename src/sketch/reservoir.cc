@@ -42,8 +42,9 @@ void ReservoirSample::Offer(const Entry& entry) {
   }
 }
 
-void ReservoirSample::Add(std::uint64_t item_key, double value) {
-  Offer(Entry{util::SipHash24(key_, item_key), item_key, value});
+void ReservoirSample::AddHashed(std::uint64_t priority, std::uint64_t item_key,
+                                double value) {
+  Offer(Entry{priority, item_key, value});
   ++seen_;
 }
 

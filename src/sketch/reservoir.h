@@ -44,7 +44,18 @@ class ReservoirSample {
   /// population for the uniformity guarantee; duplicate keys are retained as
   /// separate entries (they share a priority, so they are kept or evicted
   /// together deterministically, preserving order-independence).
-  void Add(std::uint64_t item_key, double value);
+  void Add(std::uint64_t item_key, double value) {
+    AddHashed(Priority(item_key), item_key, value);
+  }
+
+  /// The item key's priority under this sample's key. It reads only the key,
+  /// so a caller sharing the sample across threads can hash without its lock.
+  [[nodiscard]] std::uint64_t Priority(std::uint64_t item_key) const noexcept {
+    return util::SipHash24(key_, item_key);
+  }
+
+  /// Offers an item whose Priority() the caller has already computed.
+  void AddHashed(std::uint64_t priority, std::uint64_t item_key, double value);
 
   /// Folds another sample drawn with the same capacity and seed.
   /// Throws MergeError on mismatch.

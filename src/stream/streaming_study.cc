@@ -1,6 +1,7 @@
 #include "stream/streaming_study.h"
 
 #include <algorithm>
+#include <span>
 
 #include "core/figure_fold.h"
 #include "obs/obs.h"
@@ -35,7 +36,10 @@ std::size_t DiurnalBins() {
 }  // namespace
 
 // The sketched policy: each device's contribution drains into HLLs,
-// reservoirs and a count-min sketch under the mutex as the device completes.
+// reservoirs and a count-min sketch as the device completes. The drain
+// hashes every item first, lock-free, into its chunk's scratch (the hashes
+// read only the immutable sketch keys), then takes the mutex only for the
+// register maxes, bottom-k offers and cell adds.
 // The sketch fields carry no GUARDED_BY: after the pass the engine is
 // immutable and every figure query reads them lock-free from the
 // construction thread — a phase discipline the static analysis cannot
@@ -66,18 +70,47 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
     chunk_diurnal_.assign(num_chunks, std::vector<double>(DiurnalBins(), 0.0));
     diurnal_scratch_high_water =
         num_chunks * (DiurnalBins() * sizeof(double) + sizeof(std::vector<double>));
+    chunk_hashes_.assign(num_chunks, {});
   }
 
-  void AddDevice(std::size_t, DeviceIndex dev, const core::DeviceFold& d) override {
+  void AddDevice(std::size_t chunk, DeviceIndex dev,
+                 const core::DeviceFold& d) override {
     const auto rc = static_cast<std::size_t>(ctx_.report_class(dev));
     const auto dkey = static_cast<std::uint64_t>(dev);
-    const util::MutexLock lock(mutex_);
-    for (const auto& run : d.day_bytes) {
-      hlls[static_cast<std::size_t>(run.first) * kNumReportClasses + rc].Add(dkey);
+    const auto day_hll = [&](const std::pair<int, std::uint64_t>& run) -> auto& {
+      return hlls[static_cast<std::size_t>(run.first) * kNumReportClasses + rc];
+    };
+    DeviceHashes& h = chunk_hashes_[chunk];
+    h.Clear();
+    for (const auto& run : d.day_bytes) h.days.push_back(day_hll(run).Hash(dkey));
+    for (const auto& [slot, value] : d.values) {
+      h.priorities.push_back(reservoirs[slot].Priority(dkey));
     }
-    for (const auto& [slot, value] : d.values) reservoirs[slot].Add(dkey, value);
-    for (const auto& [period, key] : d.site_keys) hlls[site_base + period].Add(key);
-    for (const auto& [domain, bytes] : d.domain_adds) domain_bytes.Add(domain, bytes);
+    for (const auto& [period, key] : d.site_keys) {
+      h.sites.push_back(hlls[site_base + period].Hash(key));
+    }
+    const std::size_t depth = domain_bytes.depth();
+    h.cms_cells.resize(d.domain_adds.size() * depth);
+    for (std::size_t i = 0; i < d.domain_adds.size(); ++i) {
+      domain_bytes.Cells(d.domain_adds[i].first,
+                         std::span(h.cms_cells).subspan(i * depth, depth));
+    }
+
+    const util::MutexLock lock(mutex_);
+    for (std::size_t i = 0; i < d.day_bytes.size(); ++i) {
+      day_hll(d.day_bytes[i]).AddHash(h.days[i]);
+    }
+    for (std::size_t i = 0; i < d.values.size(); ++i) {
+      const auto& [slot, value] = d.values[i];
+      reservoirs[slot].AddHashed(h.priorities[i], dkey, value);
+    }
+    for (std::size_t i = 0; i < d.site_keys.size(); ++i) {
+      hlls[site_base + d.site_keys[i].first].AddHash(h.sites[i]);
+    }
+    for (std::size_t i = 0; i < d.domain_adds.size(); ++i) {
+      domain_bytes.AddCells(std::span(h.cms_cells).subspan(i * depth, depth),
+                            d.domain_adds[i].second);
+    }
   }
 
   void EndPass() override {
@@ -88,6 +121,9 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
       obs::GetCounter("sketch/diurnal_merges", "merges").Add(chunk_diurnal_.size());
     }
     chunk_diurnal_.clear();
+    hash_scratch_high_water = 0;
+    for (const DeviceHashes& h : chunk_hashes_) hash_scratch_high_water += h.MemoryBytes();
+    chunk_hashes_.clear();
   }
 
   double* DiurnalGrid(std::size_t chunk) override {
@@ -122,7 +158,7 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
 
   [[nodiscard]] std::size_t MemoryBytes() const noexcept {
     std::size_t total = domain_bytes.MemoryBytes() + diurnal.MemoryBytes() +
-                        diurnal_scratch_high_water;
+                        diurnal_scratch_high_water + hash_scratch_high_water;
     for (const sketch::HyperLogLog& hll : hlls) total += hll.MemoryBytes();
     for (const sketch::ReservoirSample& res : reservoirs) total += res.MemoryBytes();
     return total;
@@ -159,11 +195,35 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
   sketch::CountMinSketch domain_bytes;
   sketch::WindowedAggregator diurnal;  ///< day x 24, chunk grids in chunk order
   std::size_t diurnal_scratch_high_water = 0;
+  std::size_t hash_scratch_high_water = 0;  ///< every chunk's DeviceHashes
 
  private:
+  /// One device's sketch hashes, parallel to its DeviceFold lists. Each
+  /// chunk reuses one, so its capacity is the chunk's largest device.
+  struct DeviceHashes {
+    std::vector<std::uint64_t> days;        ///< Figure 1 HLL hash per day run
+    std::vector<std::uint64_t> priorities;  ///< reservoir priority per value
+    std::vector<std::uint64_t> sites;       ///< site HLL hash per site key
+    std::vector<std::size_t> cms_cells;     ///< depth cells per domain add
+
+    void Clear() noexcept {
+      days.clear();
+      priorities.clear();
+      sites.clear();
+      cms_cells.clear();
+    }
+    [[nodiscard]] std::size_t MemoryBytes() const noexcept {
+      return sizeof(*this) +
+             (days.capacity() + priorities.capacity() + sites.capacity()) *
+                 sizeof(std::uint64_t) +
+             cms_cells.capacity() * sizeof(std::size_t);
+    }
+  };
+
   const core::StudyContext& ctx_;
   util::Mutex mutex_;
   std::vector<std::vector<double>> chunk_diurnal_;
+  std::vector<DeviceHashes> chunk_hashes_;  ///< one per fold chunk
 };
 
 StreamingStudy::StreamingStudy(const core::Dataset& dataset,

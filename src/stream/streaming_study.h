@@ -32,11 +32,13 @@
 //   * within float tolerance: the diurnal shape (fractional spreading sums
 //     cross devices in a different order than the batch flow-order scan).
 //
-// Determinism: sketch updates are order-independent (register max, bottom-k
-// with a total order, integer adds), so each device drains into them under a
-// mutex as it completes; the fractional diurnal grid is summed per fold
-// chunk and folded in chunk order. Output is bit-identical at any thread
-// count, for the same seed and budget.
+// Determinism: each device drains into the shared sketches as it completes.
+// Its hashes (HLL items, reservoir priorities, count-min cells) are computed
+// lock-free into per-chunk scratch; only the updates run under a mutex, and
+// they are order-independent (register max, bottom-k with a total order,
+// integer adds). The fractional diurnal grid is summed per fold chunk and
+// folded in chunk order. Output is bit-identical at any thread count, for
+// the same seed and budget.
 #pragma once
 
 #include <array>
@@ -140,9 +142,10 @@ class StreamingStudy {
   [[nodiscard]] AccuracyReport Accuracy() const;
 
   /// Bytes of engine figure-state: all sketches (actual allocation), the
-  /// fixed dense grids, and the per-chunk diurnal scratch high-water. The
-  /// dataset itself (mmap'd or in-memory) and the O(devices+domains) census
-  /// are excluded — the budget governs what the *streaming pass* accretes.
+  /// fixed dense grids, and the high-water of the per-chunk diurnal and hash
+  /// scratch. The dataset itself (mmap'd or in-memory) and the
+  /// O(devices+domains) census are excluded — the budget governs what the
+  /// *streaming pass* accretes.
   [[nodiscard]] std::size_t TrackedStateBytes() const noexcept;
 
   [[nodiscard]] const MemoryPlan& plan() const noexcept { return plan_; }

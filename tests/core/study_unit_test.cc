@@ -308,5 +308,32 @@ TEST(StudyUnit, HeadlineTroughIncludesADayWithNoActiveDevice) {
   }
 }
 
+// A device that alternates between two domains reaches each several times
+// with other domains in between; the count-min sketch must still absorb
+// every byte, so with no collisions its point estimates are the exact sums.
+TEST(StudyUnit, DomainBytesSumEveryFlowOfADevice) {
+  StudyBuilder b;
+  const DeviceIndex dev = b.AddLaptopDevice();
+  const char* const hosts[] = {"netflix.com", "www.youtube.com"};
+  std::uint64_t exact[2] = {0, 0};
+  for (int i = 0; i < 8; ++i) {
+    const std::uint64_t bytes = 1000 + static_cast<std::uint64_t>(i) * 317;
+    b.AddFlow(dev, Offset(2, 10, 8 + i), 60, hosts[i % 2], ServiceIp("netflix"),
+              bytes, 7);
+    exact[i % 2] += bytes + 7;
+  }
+  const Dataset& ds = b.Finalized();
+  const stream::StreamingStudy streaming(ds, world::ServiceCatalog::Default());
+  for (std::size_t h = 0; h < 2; ++h) {
+    DomainId id = kNoDomain;
+    for (DomainId d = 0; d < ds.num_domains(); ++d) {
+      if (ds.DomainName(d) == hosts[h]) id = d;
+    }
+    ASSERT_NE(id, kNoDomain) << hosts[h];
+    EXPECT_EQ(streaming.EstimateDomainBytes(id), exact[h]) << hosts[h];
+  }
+  EXPECT_EQ(streaming.Accuracy().cms_total_bytes, exact[0] + exact[1]);
+}
+
 }  // namespace
 }  // namespace lockdown::core

@@ -1,5 +1,6 @@
 #include "sketch/hll.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -115,6 +116,45 @@ TEST(HyperLogLog, MergeRejectsMismatch) {
   auto a = HyperLogLog::Seeded(10, 1);
   EXPECT_THROW(a.Merge(HyperLogLog::Seeded(11, 1)), MergeError);
   EXPECT_THROW(a.Merge(HyperLogLog::Seeded(10, 2)), MergeError);
+}
+
+// The estimator as first written, with std::ldexp per register; Estimate()
+// must reproduce it bit for bit. `linear` reports the branch taken.
+double LdexpReferenceEstimate(const HyperLogLog& hll, bool& linear) {
+  const auto registers = hll.registers();
+  const std::size_t size = registers.size();
+  const auto m = static_cast<double>(size);
+  double inverse_sum = 0.0;
+  std::size_t zeros = 0;
+  for (const std::uint8_t reg : registers) {
+    inverse_sum += std::ldexp(1.0, -static_cast<int>(reg));
+    zeros += reg == 0;
+  }
+  const double alpha = size == 16   ? 0.673
+                       : size == 32 ? 0.697
+                       : size == 64 ? 0.709
+                                    : 0.7213 / (1.0 + 1.079 / m);
+  const double raw = alpha * m * m / inverse_sum;
+  linear = raw <= 2.5 * m && zeros != 0;
+  return linear ? m * std::log(m / static_cast<double>(zeros)) : raw;
+}
+
+TEST(HyperLogLog, EstimateMatchesLdexpReference) {
+  for (int p = HyperLogLog::kMinPrecision; p <= HyperLogLog::kMaxPrecision; ++p) {
+    const std::uint64_t m = std::uint64_t{1} << p;
+    // m/4 items stay in the linear-counting regime, 8m reach the raw one.
+    for (const std::uint64_t n : {m / 4, 8 * m}) {
+      auto hll = HyperLogLog::Seeded(p, 17);
+      for (std::uint64_t i = 0; i < n; ++i) hll.Add(i);
+      bool linear = false;
+      const double expected = LdexpReferenceEstimate(hll, linear);
+      EXPECT_EQ(linear, n < m) << "p=" << p << " n=" << n;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(hll.Estimate()),
+                std::bit_cast<std::uint64_t>(expected))
+          << "p=" << p << " n=" << n << " estimate=" << hll.Estimate()
+          << " reference=" << expected;
+    }
+  }
 }
 
 TEST(HyperLogLog, MemoryBytesScalesWithPrecision) {

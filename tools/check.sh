@@ -126,8 +126,10 @@ if [[ "${mode}" == "all" || "${mode}" == "--tsan-only" ]]; then
   # mutex, per-chunk value lists joined in chunk order.
   LOCKDOWN_THREADS=8 "${dir}/tests/core_test" \
     --gtest_filter='ParallelEquivalence.*:FiguresDifferentialTest.*:Pipeline*:GoldenFigures.*:Dataset.*'
-  # The figure fold under the sketched policy: each device drained into the
-  # shared sketches under a mutex must be race-free, not just deterministic.
+  # The figure fold under the sketched policy: each device's sketch hashes
+  # are computed outside the lock into its chunk's scratch, then the
+  # register maxes, reservoir offers and count-min adds run under the mutex.
+  # The drain must be race-free, not just deterministic.
   LOCKDOWN_THREADS=8 "${dir}/tests/stream_test" \
     --gtest_filter='StreamingStudy.BitIdenticalAcrossThreadCounts'
   echo "=== tsan: OK ==="
