@@ -1,9 +1,9 @@
 #include "core/figure_fold.h"
 
 // This TU is the figure boundary of DESIGN §5: the fold spreads fractional
-// hour volumes per device, and the exact policy's diurnal scan sums them per
-// flow chunk, folded in chunk order. Per-slot FP with a single writer per
-// slot is deterministic, so the integer-only rule does not apply here; every
+// hour volumes per device into its chunk's diurnal grid, and the chunk grids
+// are summed in chunk order. Per-slot FP with a single writer per slot is
+// deterministic, so the integer-only rule does not apply here; every
 // cross-device total the fold merges (FoldTotals) stays integral.
 // lockdown-lint: disable-file(LD001)
 
@@ -24,6 +24,7 @@ namespace {
 constexpr auto kHours = static_cast<std::size_t>(analysis::HourOfWeekSeries::kHours);
 
 std::size_t NumDays() { return static_cast<std::size_t>(StudyCalendar::NumDays()); }
+std::size_t DiurnalBins() { return NumDays() * 24; }
 
 // The calendar boundaries the figures use.
 struct CalendarDays {
@@ -53,8 +54,8 @@ const CalendarDays& Cal() {
 }
 
 // At least the device grain, but never more than ~32 chunks, so per-chunk
-// state (the sketched policy's diurnal grids) stays a bounded fraction of
-// any realistic memory budget.
+// state (the diurnal grids, the sketched policy's scratch) stays a bounded
+// fraction of any realistic memory budget.
 std::size_t FoldGrain(std::size_t num_devices) {
   return std::max(kDeviceGrain, (num_devices + 31) / 32);
 }
@@ -95,9 +96,6 @@ constexpr std::array kDailyGrids = {
 // joined slot by slot after it.
 class ExactPolicy final : public FoldPolicy {
  public:
-  ExactPolicy(const StudyContext& ctx, util::ThreadPool& pool)
-      : ctx_(ctx), pool_(pool) {}
-
   void BeginPass(std::size_t num_chunks) override { chunks_.resize(num_chunks); }
 
   void AddDevice(std::size_t chunk, DeviceIndex, const DeviceFold& d) override {
@@ -125,46 +123,7 @@ class ExactPolicy final : public FoldPolicy {
             values_.begin() + static_cast<std::ptrdiff_t>(offsets_[slot + 1])};
   }
 
-  // The one figure the exact policy does not take from the fold. Its day
-  // range is a query argument, and the golden fixture pins the batch value
-  // bit for bit in kFlowGrain flow-chunk summation order: fractional hour
-  // spreads summed across devices depend on that order. So this scans the
-  // flows at query time.
-  [[nodiscard]] LockdownStudy::DiurnalShapeResult Diurnal(
-      int first_day, int last_day) const override {
-    const auto flows = ctx_.dataset().flows();
-    const std::size_t num_chunks =
-        util::ThreadPool::NumChunks(flows.size(), kFlowGrain);
-    std::vector<LockdownStudy::DiurnalShapeResult> shards(num_chunks);
-    pool_.ParallelFor(
-        flows.size(), kFlowGrain,
-        [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-          LockdownStudy::DiurnalShapeResult& partial = shards[chunk];
-          for (std::size_t i = begin; i < end; ++i) {
-            const Flow& f = flows[i];
-            const int day = Dataset::DayOf(f);
-            if (day < first_day || day > last_day) continue;
-            const bool weekend =
-                util::IsWeekend(util::WeekdayOf(StudyCalendar::DateAt(day)));
-            auto& profile = weekend ? partial.weekend : partial.weekday;
-            StudyContext::SpreadOverHours(f, [&profile](Timestamp t, double bytes) {
-              profile[static_cast<std::size_t>(util::HourOf(t))] += bytes;
-            });
-          }
-        });
-    LockdownStudy::DiurnalShapeResult result;
-    for (const auto& shard : shards) {
-      for (std::size_t h = 0; h < 24; ++h) {
-        result.weekday[h] += shard.weekday[h];
-        result.weekend[h] += shard.weekend[h];
-      }
-    }
-    return result;
-  }
-
  private:
-  const StudyContext& ctx_;
-  util::ThreadPool& pool_;
   std::vector<std::vector<std::pair<std::uint32_t, double>>> chunks_;
   std::vector<std::size_t> offsets_;  ///< per slot, into values_
   std::vector<double> values_;
@@ -226,53 +185,48 @@ std::size_t FoldTotals::MemoryBytes() const noexcept {
   return bytes;
 }
 
-// Dense per-domain scratch of one fold chunk, reused by its devices.
-struct FigureFold::ChunkScratch {
-  static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
-
-  explicit ChunkScratch(std::size_t num_domains)
-      : site_seen(num_domains, 0), domain_slot(num_domains, kNoSlot) {}
-
-  /// Per domain, the last (device, period) ticket that counted it as a site.
-  std::vector<std::uint64_t> site_seen;
-  /// Per domain, its entry in the current device's domain_adds, or kNoSlot.
-  /// FoldDevice resets the entries it set before it returns.
-  std::vector<std::uint32_t> domain_slot;
-};
-
 FigureFold::FigureFold(const StudyContext& ctx, util::ThreadPool& pool,
                        std::unique_ptr<FoldPolicy> policy)
     : ctx_(ctx), policy_(std::move(policy)) {
   const Dataset& ds = ctx.dataset();
   const std::size_t n = ds.num_devices();
   const std::size_t grain = FoldGrain(n);
-  policy_->BeginPass(util::ThreadPool::NumChunks(n, grain));
+  const std::size_t num_chunks = util::ThreadPool::NumChunks(n, grain);
+  std::vector<std::vector<double>> chunk_diurnal(num_chunks,
+                                                 std::vector<double>(DiurnalBins(), 0.0));
+  chunk_grid_bytes_ =
+      num_chunks * (DiurnalBins() * sizeof(double) + sizeof(std::vector<double>));
+  policy_->BeginPass(num_chunks);
   pool.ParallelFor(n, grain, [&](std::size_t chunk, std::size_t begin,
                                  std::size_t end) {
     FoldTotals local;
-    auto* const diurnal = policy_->DiurnalGrid(chunk);
-    ChunkScratch scratch(ds.num_domains());
+    std::vector<std::uint64_t> site_seen(ds.num_domains(), 0);
     for (std::size_t dev = begin; dev < end; ++dev) {
       const auto di = static_cast<DeviceIndex>(dev);
       if (ds.FlowsOfDevice(di).empty()) continue;
       DeviceFold out;
-      FoldDevice(di, out, local, diurnal, scratch);
+      FoldDevice(di, out, local, chunk_diurnal[chunk], site_seen);
       policy_->AddDevice(chunk, di, out);
     }
     const util::MutexLock lock(mutex_);
     totals_.Merge(local);
   });
   policy_->EndPass();
+  diurnal_.assign(DiurnalBins(), 0.0);
+  for (const std::vector<double>& grid : chunk_diurnal) {
+    for (std::size_t bin = 0; bin < grid.size(); ++bin) diurnal_[bin] += grid[bin];
+  }
 }
 
 std::unique_ptr<FigureFold> FigureFold::Exact(const StudyContext& ctx,
                                               util::ThreadPool& pool) {
   return std::make_unique<FigureFold>(ctx, pool,
-                                      std::make_unique<ExactPolicy>(ctx, pool));
+                                      std::make_unique<ExactPolicy>());
 }
 
 void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
-                            double* diurnal, ChunkScratch& scratch) const {
+                            std::vector<double>& diurnal,
+                            std::vector<std::uint64_t>& site_seen) const {
   const auto flows = ctx_.dataset().FlowsOfDevice(dev);
   const CalendarDays& cal = Cal();
   const bool post = ctx_.IsPostShutdown(dev);
@@ -303,7 +257,7 @@ void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
         const auto bin = analysis::HourOfWeekSeries::BinOf(t_hour, cal.week_anchors[w]);
         if (bin) week_volume[w][static_cast<std::size_t>(*bin)] += b;
       }
-      if (diurnal != nullptr && in_window) {
+      if (in_window) {
         diurnal[static_cast<std::size_t>(day) * 24 +
                 static_cast<std::size_t>(util::HourOf(t_hour))] += b;
       }
@@ -345,18 +299,11 @@ void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
                                                    : -1;
       const std::uint64_t ticket =
           ((std::uint64_t{dev} << 2) | static_cast<std::uint64_t>(period + 1));
-      if (period >= 0 && scratch.site_seen[f.domain] != ticket) {
-        scratch.site_seen[f.domain] = ticket;
+      if (period >= 0 && site_seen[f.domain] != ticket) {
+        site_seen[f.domain] = ticket;
         out.site_keys.emplace_back(static_cast<std::uint8_t>(period),
                                    (std::uint64_t{dev} << 32) | f.domain);
       }
-    }
-    std::uint32_t& slot = scratch.domain_slot[f.domain];
-    if (slot == ChunkScratch::kNoSlot) {
-      slot = static_cast<std::uint32_t>(out.domain_adds.size());
-      out.domain_adds.emplace_back(f.domain, bytes);
-    } else {
-      out.domain_adds[slot].second += bytes;
     }
     const int m = cal.MonthOf(day);
     if (m < 0) continue;
@@ -373,10 +320,6 @@ void FigureFold::FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& t,
       if (flags.fb_family) fb_intervals[mi].push_back(iv);
       if (flags.tiktok) tiktok_intervals[mi].push_back(iv);
     }
-  }
-
-  for (const auto& add : out.domain_adds) {
-    scratch.domain_slot[add.first] = ChunkScratch::kNoSlot;
   }
 
   const auto offer = [&out](ValueFamily family, std::size_t index, double v) {
@@ -571,7 +514,15 @@ std::vector<LockdownStudy::CategoryVolumeRow> FigureFold::CategoryVolumes() cons
 
 LockdownStudy::DiurnalShapeResult FigureFold::DiurnalShape(int first_day,
                                                            int last_day) const {
-  LockdownStudy::DiurnalShapeResult result = policy_->Diurnal(first_day, last_day);
+  LockdownStudy::DiurnalShapeResult result;
+  const int lo = std::max(first_day, 0);
+  const int hi = std::min(last_day, StudyCalendar::NumDays() - 1);
+  for (int day = lo; day <= hi; ++day) {
+    const bool weekend = util::IsWeekend(util::WeekdayOf(StudyCalendar::DateAt(day)));
+    auto& profile = weekend ? result.weekend : result.weekday;
+    const std::size_t base = static_cast<std::size_t>(day) * 24;
+    for (std::size_t h = 0; h < 24; ++h) profile[h] += diurnal_[base + h];
+  }
   for (auto* profile : {&result.weekday, &result.weekend}) {
     double sum = 0.0;
     for (const double v : *profile) sum += v;
@@ -580,6 +531,10 @@ LockdownStudy::DiurnalShapeResult FigureFold::DiurnalShape(int first_day,
     }
   }
   return result;
+}
+
+std::size_t FigureFold::MemoryBytes() const noexcept {
+  return totals_.MemoryBytes() + diurnal_.size() * sizeof(double) + chunk_grid_bytes_;
 }
 
 LockdownStudy::Headline FigureFold::HeadlineStats() const {

@@ -2,19 +2,22 @@
 // figure in the paper is a per-device aggregate over the flow log, so the
 // fold visits each device's flows once, in the dataset's CSR order
 // (device-clustered, time-sorted per device), and splits each device's
-// contribution in two:
+// contribution in three:
 //   * integer aggregates go to FoldTotals. Integer sums are exact in any
 //     order, so both engines read the same numbers;
+//   * fractional hour volumes go to a (day x 24 hours) diurnal grid per
+//     chunk, summed in chunk order after the pass. The fold owns the grid,
+//     so both engines read the same bits;
 //   * the values behind every median and box plot (Figures 2, 3, 4, 6, 7) go
 //     to a FoldPolicy as (slot, value) offers. The exact policy
 //     (LockdownStudy) keeps them all, joined in ascending device order, the
 //     batch summation order. The sketched policy (StreamingStudy,
 //     src/stream) feeds reservoirs, HyperLogLogs and a count-min sketch
 //     under a memory budget.
-// Each figure query is written once, over the totals and the policy. Chunk
-// boundaries depend only on the device count (util/thread_pool.h) and every
-// merge is integral or in chunk order, so both policies are bit-identical at
-// any thread count.
+// Each figure query is written once, over the totals, the grid and the
+// policy. Chunk boundaries depend only on the device count
+// (util/thread_pool.h) and every merge is integral or in chunk order, so both
+// policies are bit-identical at any thread count.
 #pragma once
 
 #include <array>
@@ -54,9 +57,6 @@ struct DeviceFold {
   /// Headline distinct sites of a post-shutdown device: (period 0 Feb /
   /// 1 Apr / 2 May, device << 32 | domain), each pair once.
   std::vector<std::pair<std::uint8_t, std::uint64_t>> site_keys;
-  /// (domain, bytes): one entry per distinct domain the device reached, its
-  /// bytes summed over all of the device's flows to it, in first-flow order.
-  std::vector<std::pair<std::uint32_t, std::uint64_t>> domain_adds;
 };
 
 /// The integer aggregates, identical under both policies.
@@ -90,9 +90,6 @@ class FoldPolicy {
   /// ascending device order; calls for different chunks run concurrently.
   virtual void AddDevice(std::size_t chunk, DeviceIndex dev, const DeviceFold& d) = 0;
   virtual void EndPass() = 0;
-  /// The chunk's (day x 24 hours) diurnal grid for the fold to spread bytes
-  /// into, or nullptr when the policy scans flows at query time instead.
-  virtual double* DiurnalGrid(std::size_t /*chunk*/) { return nullptr; }
 
   /// Figure 1: devices active on a day in a class (cell = day * 4 + class).
   /// By default the exact count.
@@ -107,9 +104,6 @@ class FoldPolicy {
   }
   /// The values offered to `slot`, in ascending device order.
   [[nodiscard]] virtual std::vector<double> Values(std::size_t slot) const = 0;
-  /// Un-normalised weekday/weekend hour-of-day byte profiles over a day range.
-  [[nodiscard]] virtual LockdownStudy::DiurnalShapeResult Diurnal(
-      int first_day, int last_day) const = 0;
 };
 
 class FigureFold {
@@ -154,18 +148,22 @@ class FigureFold {
     return totals_.switches;
   }
   [[nodiscard]] std::vector<LockdownStudy::CategoryVolumeRow> CategoryVolumes() const;
+  /// Study days only: the range is clamped to [0, NumDays() - 1].
   [[nodiscard]] LockdownStudy::DiurnalShapeResult DiurnalShape(int first_day,
                                                                int last_day) const;
   [[nodiscard]] LockdownStudy::Headline HeadlineStats() const;
 
-  [[nodiscard]] const FoldTotals& totals() const noexcept { return totals_; }
+  /// Bytes of the totals, the diurnal grid and the pass's per-chunk grids.
+  [[nodiscard]] std::size_t MemoryBytes() const noexcept;
 
  private:
   [[nodiscard]] static analysis::DailySeries SeriesOf(
       const std::vector<std::uint64_t>& daily);
-  struct ChunkScratch;
+  /// `site_seen` is the chunk's per-domain scratch: the last (device,
+  /// period) ticket that counted each domain as a site.
   void FoldDevice(DeviceIndex dev, DeviceFold& out, FoldTotals& totals,
-                  double* diurnal, ChunkScratch& scratch) const;
+                  std::vector<double>& diurnal,
+                  std::vector<std::uint64_t>& site_seen) const;
   [[nodiscard]] double Median(ValueFamily family, std::size_t index) const;
   [[nodiscard]] analysis::BoxStats Box(ValueFamily family, std::size_t index) const;
 
@@ -175,6 +173,8 @@ class FigureFold {
   /// pass the fold is immutable and queries read them lock-free.
   util::Mutex mutex_;
   FoldTotals totals_;
+  std::vector<double> diurnal_;  ///< day x 24, chunk grids in chunk order
+  std::size_t chunk_grid_bytes_ = 0;
 };
 
 }  // namespace lockdown::core

@@ -29,15 +29,11 @@
 
 namespace lockdown::core {
 
-// Chunk grains for the sharded passes, shared by the batch study and the
-// streaming engine. Chunk boundaries depend only on the problem size
-// (util/thread_pool.h), so every reduction — always folded in chunk order —
-// produces the same bits at any thread count.
-inline constexpr std::size_t kDeviceGrain = 64;   // per-device loops (CSR-disjoint)
-inline constexpr std::size_t kDayGrain = 8;       // per-day aggregation rows
-inline constexpr std::size_t kHourGrain = 24;     // hour-of-week median columns
-inline constexpr std::size_t kSessionGrain = 32;  // per-device session merging
-inline constexpr std::size_t kFlowGrain = 16384;  // flat flow scans
+// Chunk grain for the sharded per-device passes (CSR-disjoint), shared by the
+// batch study and the streaming engine. Chunk boundaries depend only on the
+// problem size (util/thread_pool.h), so every reduction — always folded in
+// chunk order — produces the same bits at any thread count.
+inline constexpr std::size_t kDeviceGrain = 64;
 
 /// Figure 3 only medians devices with substantive hourly traffic. The floor
 /// keeps heartbeat-only devices (IoT pings, idle gadgets) from swamping the

@@ -1,6 +1,6 @@
 #include "stream/streaming_study.h"
 
-#include <algorithm>
+#include <limits>
 #include <span>
 
 #include "core/figure_fold.h"
@@ -8,7 +8,6 @@
 #include "sketch/count_min.h"
 #include "sketch/hll.h"
 #include "sketch/reservoir.h"
-#include "sketch/windowed.h"
 #include "util/mutex.h"
 
 namespace lockdown::stream {
@@ -29,17 +28,14 @@ constexpr std::uint64_t kCmsStream = 8000;
 constexpr std::array<std::uint64_t, core::kNumValueFamilies> kValueStreamBase = {
     2000, 3000, 4000, 6000, 7000};
 
-std::size_t DiurnalBins() {
-  return static_cast<std::size_t>(StudyCalendar::NumDays()) * 24;
-}
-
 }  // namespace
 
 // The sketched policy: each device's contribution drains into HLLs,
 // reservoirs and a count-min sketch as the device completes. The drain
-// hashes every item first, lock-free, into its chunk's scratch (the hashes
-// read only the immutable sketch keys), then takes the mutex only for the
-// register maxes, bottom-k offers and cell adds.
+// coalesces the device's (domain, bytes) from its flows and hashes every
+// item first, lock-free, into its chunk's scratch (the hashes read only the
+// immutable sketch keys), then takes the mutex only for the register maxes,
+// bottom-k offers and cell adds.
 // The sketch fields carry no GUARDED_BY: after the pass the engine is
 // immutable and every figure query reads them lock-free from the
 // construction thread — a phase discipline the static analysis cannot
@@ -48,9 +44,7 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
  public:
   Sketches(const core::StudyContext& ctx, const MemoryPlan& plan,
            std::uint64_t seed)
-      : domain_bytes(plan.cms_width, plan.cms_depth, seed, kCmsStream),
-        diurnal(DiurnalBins()),
-        ctx_(ctx) {
+      : domain_bytes(plan.cms_width, plan.cms_depth, seed, kCmsStream), ctx_(ctx) {
     for (std::size_t i = 0; i < site_base + 3; ++i) {
       hlls.push_back(sketch::HyperLogLog::Seeded(
           plan.hll_precision, seed,
@@ -67,9 +61,6 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
   }
 
   void BeginPass(std::size_t num_chunks) override {
-    chunk_diurnal_.assign(num_chunks, std::vector<double>(DiurnalBins(), 0.0));
-    diurnal_scratch_high_water =
-        num_chunks * (DiurnalBins() * sizeof(double) + sizeof(std::vector<double>));
     chunk_hashes_.assign(num_chunks, {});
   }
 
@@ -82,6 +73,7 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
     };
     DeviceHashes& h = chunk_hashes_[chunk];
     h.Clear();
+    h.CoalesceDomains(ctx_.dataset(), dev);
     for (const auto& run : d.day_bytes) h.days.push_back(day_hll(run).Hash(dkey));
     for (const auto& [slot, value] : d.values) {
       h.priorities.push_back(reservoirs[slot].Priority(dkey));
@@ -90,9 +82,9 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
       h.sites.push_back(hlls[site_base + period].Hash(key));
     }
     const std::size_t depth = domain_bytes.depth();
-    h.cms_cells.resize(d.domain_adds.size() * depth);
-    for (std::size_t i = 0; i < d.domain_adds.size(); ++i) {
-      domain_bytes.Cells(d.domain_adds[i].first,
+    h.cms_cells.resize(h.domain_adds.size() * depth);
+    for (std::size_t i = 0; i < h.domain_adds.size(); ++i) {
+      domain_bytes.Cells(h.domain_adds[i].first,
                          std::span(h.cms_cells).subspan(i * depth, depth));
     }
 
@@ -107,27 +99,16 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
     for (std::size_t i = 0; i < d.site_keys.size(); ++i) {
       hlls[site_base + d.site_keys[i].first].AddHash(h.sites[i]);
     }
-    for (std::size_t i = 0; i < d.domain_adds.size(); ++i) {
+    for (std::size_t i = 0; i < h.domain_adds.size(); ++i) {
       domain_bytes.AddCells(std::span(h.cms_cells).subspan(i * depth, depth),
-                            d.domain_adds[i].second);
+                            h.domain_adds[i].second);
     }
   }
 
   void EndPass() override {
-    for (const std::vector<double>& grid : chunk_diurnal_) {
-      for (std::size_t bin = 0; bin < grid.size(); ++bin) diurnal.Add(bin, grid[bin]);
-    }
-    if (obs::MetricsEnabled()) {
-      obs::GetCounter("sketch/diurnal_merges", "merges").Add(chunk_diurnal_.size());
-    }
-    chunk_diurnal_.clear();
     hash_scratch_high_water = 0;
     for (const DeviceHashes& h : chunk_hashes_) hash_scratch_high_water += h.MemoryBytes();
     chunk_hashes_.clear();
-  }
-
-  double* DiurnalGrid(std::size_t chunk) override {
-    return chunk_diurnal_[chunk].data();
   }
 
   [[nodiscard]] double ActiveDevices(const FoldTotals&,
@@ -141,24 +122,8 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
   [[nodiscard]] std::vector<double> Values(std::size_t slot) const override {
     return reservoirs[slot].Values();
   }
-  [[nodiscard]] core::LockdownStudy::DiurnalShapeResult Diurnal(
-      int first_day, int last_day) const override {
-    core::LockdownStudy::DiurnalShapeResult result;
-    const int lo = std::max(first_day, 0);
-    const int hi = std::min(last_day, StudyCalendar::NumDays() - 1);
-    for (int day = lo; day <= hi; ++day) {
-      const bool weekend =
-          util::IsWeekend(util::WeekdayOf(StudyCalendar::DateAt(day)));
-      auto& profile = weekend ? result.weekend : result.weekday;
-      const std::size_t base = static_cast<std::size_t>(day) * 24;
-      for (std::size_t h = 0; h < 24; ++h) profile[h] += diurnal.at(base + h);
-    }
-    return result;
-  }
-
   [[nodiscard]] std::size_t MemoryBytes() const noexcept {
-    std::size_t total = domain_bytes.MemoryBytes() + diurnal.MemoryBytes() +
-                        diurnal_scratch_high_water + hash_scratch_high_water;
+    std::size_t total = domain_bytes.MemoryBytes() + hash_scratch_high_water;
     for (const sketch::HyperLogLog& hll : hlls) total += hll.MemoryBytes();
     for (const sketch::ReservoirSample& res : reservoirs) total += res.MemoryBytes();
     return total;
@@ -193,36 +158,58 @@ class StreamingStudy::Sketches final : public core::FoldPolicy {
   std::vector<sketch::HyperLogLog> hlls;
   std::vector<sketch::ReservoirSample> reservoirs;  ///< one per value slot
   sketch::CountMinSketch domain_bytes;
-  sketch::WindowedAggregator diurnal;  ///< day x 24, chunk grids in chunk order
-  std::size_t diurnal_scratch_high_water = 0;
   std::size_t hash_scratch_high_water = 0;  ///< every chunk's DeviceHashes
 
  private:
-  /// One device's sketch hashes, parallel to its DeviceFold lists. Each
-  /// chunk reuses one, so its capacity is the chunk's largest device.
+  /// One device's sketch input and hashes, the hashes parallel to its
+  /// DeviceFold lists and to domain_adds. Each chunk reuses one, so its
+  /// capacity is the chunk's largest device.
   struct DeviceHashes {
+    static constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
+
     std::vector<std::uint64_t> days;        ///< Figure 1 HLL hash per day run
     std::vector<std::uint64_t> priorities;  ///< reservoir priority per value
     std::vector<std::uint64_t> sites;       ///< site HLL hash per site key
+    /// (domain, bytes): one entry per distinct domain the device reached, its
+    /// bytes summed over all of the device's flows to it, in first-flow order.
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> domain_adds;
     std::vector<std::size_t> cms_cells;     ///< depth cells per domain add
+    /// Per domain, its entry in domain_adds, or kNoSlot between devices.
+    std::vector<std::uint32_t> domain_slot;
 
     void Clear() noexcept {
       days.clear();
       priorities.clear();
       sites.clear();
+      domain_adds.clear();
       cms_cells.clear();
+    }
+    void CoalesceDomains(const core::Dataset& ds, DeviceIndex dev) {
+      if (domain_slot.empty()) domain_slot.assign(ds.num_domains(), kNoSlot);
+      for (const core::Flow& f : ds.FlowsOfDevice(dev)) {
+        if (f.domain == core::kNoDomain) continue;
+        std::uint32_t& slot = domain_slot[f.domain];
+        if (slot == kNoSlot) {
+          slot = static_cast<std::uint32_t>(domain_adds.size());
+          domain_adds.emplace_back(f.domain, f.total_bytes());
+        } else {
+          domain_adds[slot].second += f.total_bytes();
+        }
+      }
+      for (const auto& add : domain_adds) domain_slot[add.first] = kNoSlot;
     }
     [[nodiscard]] std::size_t MemoryBytes() const noexcept {
       return sizeof(*this) +
              (days.capacity() + priorities.capacity() + sites.capacity()) *
                  sizeof(std::uint64_t) +
-             cms_cells.capacity() * sizeof(std::size_t);
+             domain_adds.capacity() * sizeof(domain_adds[0]) +
+             cms_cells.capacity() * sizeof(std::size_t) +
+             domain_slot.capacity() * sizeof(std::uint32_t);
     }
   };
 
   const core::StudyContext& ctx_;
   util::Mutex mutex_;
-  std::vector<std::vector<double>> chunk_diurnal_;
   std::vector<DeviceHashes> chunk_hashes_;  ///< one per fold chunk
 };
 
@@ -331,7 +318,7 @@ StreamingStudy::AccuracyReport StreamingStudy::Accuracy() const {
 }
 
 std::size_t StreamingStudy::TrackedStateBytes() const noexcept {
-  return sketches_->MemoryBytes() + fold_->totals().MemoryBytes();
+  return sketches_->MemoryBytes() + fold_->MemoryBytes();
 }
 
 }  // namespace lockdown::stream

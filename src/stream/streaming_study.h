@@ -15,12 +15,13 @@
 //   Figure 6  social-media durations     24 reservoirs (3 apps x 4 months x 2)
 //   Figure 7  Steam usage                16 reservoirs (4 months x 2 x 2)
 //   Figures 5, 8, categories, headline   exact integer totals (FoldTotals)
-//   diurnal                              exact (day, hour) grid
+//   diurnal                              the fold's (day, hour) grid
 //   per-domain byte volume               one count-min sketch
 //
 // Accuracy taxonomy (proved by tests/stream/differential_test.cc):
 //   * exact, bit-identical to batch: every integer aggregate the fold keeps
-//     in FoldTotals (Figure 2 means, 5, 8, categories, headline byte sums);
+//     in FoldTotals (Figure 2 means, 5, 8, categories, headline byte sums)
+//     and the diurnal shape, which both engines read from the fold's grid;
 //   * exact while the population fits the reservoir capacity: the median/
 //     box figures (2, 3, 4, 6, 7). Reservoirs are bottom-k by hashed
 //     priority, so a non-evicting reservoir IS the population, emitted in
@@ -28,17 +29,15 @@
 //   * within published bounds otherwise: HLL cardinalities carry a
 //     1.04/sqrt(2^p) relative standard error; count-min point queries never
 //     undercount and overshoot by more than epsilon*total with probability
-//     at most delta; sampled reservoir quantiles converge as k grows;
-//   * within float tolerance: the diurnal shape (fractional spreading sums
-//     cross devices in a different order than the batch flow-order scan).
+//     at most delta; sampled reservoir quantiles converge as k grows.
 //
 // Determinism: each device drains into the shared sketches as it completes.
-// Its hashes (HLL items, reservoir priorities, count-min cells) are computed
-// lock-free into per-chunk scratch; only the updates run under a mutex, and
-// they are order-independent (register max, bottom-k with a total order,
-// integer adds). The fractional diurnal grid is summed per fold chunk and
-// folded in chunk order. Output is bit-identical at any thread count, for
-// the same seed and budget.
+// Its count-min input and its hashes (HLL items, reservoir priorities,
+// count-min cells) are computed lock-free into per-chunk scratch; only the
+// updates run under a mutex, and they are order-independent (register max,
+// bottom-k with a total order, integer adds). The fold sums its fractional
+// diurnal grid per chunk and folds the chunks in chunk order. Output is
+// bit-identical at any thread count, for the same seed and budget.
 #pragma once
 
 #include <array>
@@ -116,7 +115,7 @@ class StreamingStudy {
   [[nodiscard]] std::vector<core::LockdownStudy::CategoryVolumeRow>
   CategoryVolumes() const;
 
-  // --- Diurnal shape (within float tolerance of batch) -----------------------
+  // --- Diurnal shape (exact: bit-identical to batch; study days only) --------
   [[nodiscard]] core::LockdownStudy::DiurnalShapeResult DiurnalShape(
       int first_day, int last_day) const;
 
@@ -142,8 +141,8 @@ class StreamingStudy {
   [[nodiscard]] AccuracyReport Accuracy() const;
 
   /// Bytes of engine figure-state: all sketches (actual allocation), the
-  /// fixed dense grids, and the high-water of the per-chunk diurnal and hash
-  /// scratch. The dataset itself (mmap'd or in-memory) and the
+  /// fold's totals and diurnal grid, and the high-water of the per-chunk
+  /// diurnal grids and sketch scratch. The dataset itself (mmap'd or in-memory) and the
   /// O(devices+domains) census are excluded — the budget governs what the
   /// *streaming pass* accretes.
   [[nodiscard]] std::size_t TrackedStateBytes() const noexcept;

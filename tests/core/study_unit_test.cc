@@ -308,6 +308,33 @@ TEST(StudyUnit, HeadlineTroughIncludesADayWithNoActiveDevice) {
   }
 }
 
+// The diurnal shape counts study days only: a flow after the window moves no
+// bin, however far past the window the queried range reaches, and both
+// engines read the same grid.
+TEST(StudyUnit, DiurnalShapeCountsStudyDaysOnly) {
+  StudyBuilder b;
+  const DeviceIndex dev = b.AddLaptopDevice();
+  b.AddFlow(dev, static_cast<std::uint32_t>(10) * kSecondsAt + 9 * 3600, 60,
+            "netflix.com", ServiceIp("netflix"), 5000);
+  b.AddFlow(dev, static_cast<std::uint32_t>(StudyCalendar::NumDays() + 2) * kSecondsAt +
+                     21 * 3600,
+            60, "netflix.com", ServiceIp("netflix"), 7000);
+  const Dataset& ds = b.Finalized();
+  const auto& catalog = world::ServiceCatalog::Default();
+  const LockdownStudy batch(ds, catalog);
+  const stream::StreamingStudy streaming(ds, catalog);
+  const int last = StudyCalendar::NumDays() - 1;
+  const auto want = batch.DiurnalShape(0, last);
+  EXPECT_GT(want.weekday[9] + want.weekend[9], 0.0);
+  EXPECT_EQ(want.weekday[21] + want.weekend[21], 0.0);
+  for (const LockdownStudy::DiurnalShapeResult& got :
+       {batch.DiurnalShape(0, last + 5), streaming.DiurnalShape(0, last + 5),
+        streaming.DiurnalShape(0, last)}) {
+    EXPECT_EQ(got.weekday, want.weekday);
+    EXPECT_EQ(got.weekend, want.weekend);
+  }
+}
+
 // A device that alternates between two domains reaches each several times
 // with other domains in between; the count-min sketch must still absorb
 // every byte, so with no collisions its point estimates are the exact sums.

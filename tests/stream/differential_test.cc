@@ -2,13 +2,13 @@
 // study, figure by figure, with the error taxonomy streaming_study.h states.
 //
 //   exact       integer-byte aggregates (fig 2 means, 5, 8, categories,
-//               headline traffic increase) — EXPECT_EQ on the doubles
+//               headline traffic increase) and the diurnal shape, read from
+//               the fold's one grid — EXPECT_EQ on the doubles
 //   exact-if-   sampled median/box figures (2, 3, 4, 6, 7) whenever no
 //   unsampled   reservoir evicted (report.reservoirs_exact) — EXPECT_EQ
 //   bounded     HLL cardinalities within 4 standard errors; count-min
 //               estimates one-sided and within epsilon * total for all but
 //               a delta fraction of domains
-//   tolerance   the diurnal shape (fractional sums in a different order)
 //
 // The same contract must hold on a dataset ingested through the tolerant
 // path after deterministic fault injection: faults change *which* flows
@@ -162,14 +162,14 @@ void ExpectConverged(const core::LockdownStudy& batch,
     EXPECT_EQ(cvb[i].other, cvs[i].other) << i;
   }
 
-  // Diurnal shape: same fractional contributions, different summation order.
+  // Diurnal shape: exact, both engines read the fold's one grid.
   for (const auto& [first, last] :
        {std::pair{0, 28}, std::pair{0, util::StudyCalendar::NumDays() - 1}}) {
     const auto db = batch.DiurnalShape(first, last);
     const auto dst = streaming.DiurnalShape(first, last);
     for (std::size_t h = 0; h < 24; ++h) {
-      EXPECT_NEAR(db.weekday[h], dst.weekday[h], 1e-9) << "weekday hour " << h;
-      EXPECT_NEAR(db.weekend[h], dst.weekend[h], 1e-9) << "weekend hour " << h;
+      EXPECT_EQ(db.weekday[h], dst.weekday[h]) << "weekday hour " << h;
+      EXPECT_EQ(db.weekend[h], dst.weekend[h]) << "weekend hour " << h;
     }
   }
 

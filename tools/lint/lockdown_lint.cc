@@ -15,9 +15,8 @@
 //
 // Rules (run `lockdown_lint --list-rules`):
 //   LD001 float-in-parallel-merge   float/double inside a ParallelFor lambda
-//                                   body, or anywhere in a kernel TU
-//                                   (src/query/kernels*) — integers only
-//                                   until figure boundaries.
+//                                   body — integers only until figure
+//                                   boundaries.
 //   LD002 unordered-iteration       range-for over a std::unordered_map/set
 //                                   inside a merge/serialization function
 //                                   (name contains Merge/Flush/Encode/
@@ -375,29 +374,25 @@ class Sink {
 };
 
 // ---------------------------------------------------------------------------
-// LD001 — float/double in ParallelFor merge lambdas and kernel TUs
+// LD001 — float/double in ParallelFor merge lambdas
 // ---------------------------------------------------------------------------
 
 void CheckFloatToken(const SourceFile& f, std::size_t begin, std::size_t end,
-                     std::string_view context, Sink& sink) {
+                     Sink& sink) {
   for (const char* word : {"float", "double"}) {
     std::size_t pos = begin;
     while ((pos = FindWord(f.code, word, pos)) != std::string::npos &&
            pos < end) {
       sink.Report(f, LineOf(f, pos), "LD001",
-                  std::string(word) + " " + std::string(context) +
-                      " — keep accumulation integral until figure boundaries "
-                      "(DESIGN §5)");
+                  std::string(word) +
+                      " inside a ParallelFor lambda — keep accumulation "
+                      "integral until figure boundaries (DESIGN §5)");
       pos += 1;
     }
   }
 }
 
 void RunLd001(const SourceFile& f, Sink& sink) {
-  if (StartsWith(f.rel, "src/query/kernels")) {
-    CheckFloatToken(f, 0, f.code.size(), "in an integer-only kernel TU", sink);
-    return;
-  }
   std::size_t pos = 0;
   while ((pos = FindWord(f.code, "ParallelFor", pos)) != std::string::npos) {
     const std::size_t call_open = f.code.find('(', pos);
@@ -413,8 +408,7 @@ void RunLd001(const SourceFile& f, Sink& sink) {
       if (body_open == std::string::npos || body_open >= call_end) break;
       const std::size_t body_end = MatchBracket(f.code, body_open, '{', '}');
       if (body_end == std::string::npos || body_end > call_end) break;
-      CheckFloatToken(f, body_open, body_end,
-                      "inside a ParallelFor lambda", sink);
+      CheckFloatToken(f, body_open, body_end, sink);
       scan = body_end;
     }
     pos = call_end;
